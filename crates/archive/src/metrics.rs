@@ -1,5 +1,6 @@
-//! Construction-time metric handles of the durable archive tier
-//! (`DESIGN.md` §11). Process-wide: every durable base in the process
+//! Construction-time metric handles of the archive (`DESIGN.md` §11):
+//! the durable tier's WAL and checkpoints, and the refine tallies of
+//! `PatternBase::match_query`. Process-wide: every base in the process
 //! shares these (per-replacer buffer-pool counters carry a label and
 //! live in [`crate::pager`]).
 
@@ -20,6 +21,12 @@ pub(crate) struct ArchiveMetrics {
     pub checkpoints: Arc<Counter>,
     /// Retention demotions applied (one pattern coarsened one level).
     pub coarsenings: Arc<Counter>,
+    /// MATCH candidates that passed the cluster-level filter but were
+    /// ruled out by the volume bound without a grid-level refine.
+    pub match_refine_skipped: Arc<Counter>,
+    /// Grid-level refines run by MATCH (an alignment search, or one
+    /// zero-shift comparison when position-sensitive).
+    pub alignments: Arc<Counter>,
 }
 
 pub(crate) fn metrics() -> &'static ArchiveMetrics {
@@ -32,6 +39,8 @@ pub(crate) fn metrics() -> &'static ArchiveMetrics {
             checkpoint_nanos: r.histogram("sgs_archive_checkpoint_nanos"),
             checkpoints: r.counter("sgs_archive_checkpoints_total"),
             coarsenings: r.counter("sgs_archive_coarsenings_total"),
+            match_refine_skipped: r.counter("sgs_archive_match_refine_skipped_total"),
+            alignments: r.counter("sgs_archive_alignments_total"),
         }
     })
 }

@@ -18,10 +18,12 @@
 
 use sgs_core::WindowId;
 use sgs_index::{FeatureGrid, RTree, Rect};
-use sgs_matching::{
-    best_alignment, cluster_distance, feature_ranges, grid_level_distance, MatchConfig,
-};
+use sgs_matching::grid_match::volume_lower_bound;
+use sgs_matching::metric::{feature_distance, location_distance};
+use sgs_matching::{best_alignment, feature_ranges, grid_level_distance, MatchConfig};
 use sgs_summarize::{packed, Sgs};
+
+use crate::metrics::metrics;
 
 /// Handle of an archived pattern.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -56,8 +58,10 @@ pub struct MatchOutcome {
     pub matches: Vec<MatchResult>,
     /// Candidates produced by the index search.
     pub candidates: usize,
-    /// Candidates that survived the cluster-level filter and paid for the
-    /// grid-level match.
+    /// Candidates that survived the cluster-level filter. Each one is
+    /// either refined by the grid-level match or ruled out by the exact
+    /// volume bound first (see [`PatternBase::match_query`]); both count,
+    /// so this is the number that passed `cluster_distance`.
     pub refined: usize,
 }
 
@@ -67,6 +71,9 @@ pub struct PatternBase {
     patterns: Vec<ArchivedPattern>,
     locational: RTree<u64>,
     non_locational: FeatureGrid<u64>,
+    /// Maximum archived value per feature dimension (at least 1), kept up
+    /// to date by [`insert`](Self::insert); bounds open search ranges.
+    feature_caps: [f64; 4],
 }
 
 impl Default for PatternBase {
@@ -83,6 +90,7 @@ impl PatternBase {
             patterns: Vec::new(),
             locational: RTree::new(),
             non_locational: FeatureGrid::new(vec![16.0, 8.0, 2.0, 1.0]),
+            feature_caps: [1.0; 4],
         }
     }
 
@@ -105,6 +113,9 @@ impl PatternBase {
         let features = sgs.features();
         self.locational.insert(mbr, id.0);
         self.non_locational.insert(&features, id.0);
+        for (cap, feature) in self.feature_caps.iter_mut().zip(features.iter()) {
+            *cap = cap.max(*feature);
+        }
         self.patterns.push(ArchivedPattern {
             id,
             window,
@@ -139,6 +150,15 @@ impl PatternBase {
     }
 
     /// Execute a cluster matching query (§7.2) for `query` under `config`.
+    ///
+    /// Candidates from the index pass the cluster-level filter
+    /// (`cluster_distance`, computed here from the cached features) and
+    /// then the grid-level refine. A survivor whose cell counts alone
+    /// put it beyond the threshold —
+    /// [`volume_lower_bound`]` > threshold` — is not refined: that bound
+    /// is exact for the computed `f64` distance under every shift (the
+    /// proof is on [`volume_lower_bound`]), so skipping it changes no
+    /// reply. It still counts in [`MatchOutcome::refined`].
     pub fn match_query(&self, query: &Sgs, config: &MatchConfig) -> MatchOutcome {
         let mut outcome = MatchOutcome::default();
         let Some(query_mbr) = query.mbr() else {
@@ -157,10 +177,9 @@ impl PatternBase {
             let lo: Vec<f64> = ranges.iter().map(|r| r.0).collect();
             // The feature grid needs finite bounds; cap unbounded ranges by
             // the maximum archived feature value per dimension.
-            let caps = self.feature_caps();
             let hi: Vec<f64> = ranges
                 .iter()
-                .zip(caps.iter())
+                .zip(self.feature_caps.iter())
                 .map(|(r, cap)| if r.1.is_finite() { r.1 } else { *cap })
                 .collect();
             let mut hits: Vec<&u64> = Vec::new();
@@ -171,16 +190,31 @@ impl PatternBase {
         candidate_ids.dedup();
         outcome.candidates = candidate_ids.len();
 
-        // ---- Cluster-level filter, then grid-level refine.
+        // ---- Cluster-level filter, volume bound, then grid-level refine.
+        // The refine tallies are added to the counters once per query.
+        let query_volume = query.volume();
+        let zero = vec![0i32; query.dim];
+        let (mut skipped, mut aligned) = (0u64, 0u64);
         for id in candidate_ids {
             let pattern = &self.patterns[id as usize];
-            let coarse = cluster_distance(&pattern.sgs, query, config);
+            // `cluster_distance(&pattern.sgs, query, config)`, with both
+            // feature vectors read from the caches.
+            let coarse =
+                if config.position_sensitive && location_distance(&pattern.sgs, query) > 0.0 {
+                    1.0
+                } else {
+                    feature_distance(&pattern.features, &query_features, &config.weights)
+                };
             if coarse > config.threshold {
                 continue;
             }
             outcome.refined += 1;
+            if volume_lower_bound(query_volume, pattern.sgs.volume()) > config.threshold {
+                skipped += 1;
+                continue;
+            }
+            aligned += 1;
             let distance = if config.position_sensitive {
-                let zero = vec![0i32; query.dim];
                 grid_level_distance(query, &pattern.sgs, &zero)
             } else {
                 best_alignment(query, &pattern.sgs, config.alignment_budget).distance
@@ -192,22 +226,13 @@ impl PatternBase {
                 });
             }
         }
+        let m = metrics();
+        m.match_refine_skipped.add(skipped);
+        m.alignments.add(aligned);
         outcome
             .matches
             .sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
         outcome
-    }
-
-    /// Maximum archived value per feature dimension (used to bound open
-    /// search ranges).
-    fn feature_caps(&self) -> [f64; 4] {
-        let mut caps = [1.0f64; 4];
-        for p in &self.patterns {
-            for (cap, feature) in caps.iter_mut().zip(p.features.iter()) {
-                *cap = cap.max(*feature);
-            }
-        }
-        caps
     }
 
     /// Brute-force matching (no indexes, every pattern refined) — the
@@ -218,13 +243,13 @@ impl PatternBase {
             candidates: self.patterns.len(),
             ..Default::default()
         };
+        let zero = vec![0i32; query.dim];
         for pattern in &self.patterns {
             outcome.refined += 1;
             let distance = if config.position_sensitive {
-                if sgs_matching::metric::location_distance(query, &pattern.sgs) > 0.0 {
+                if location_distance(query, &pattern.sgs) > 0.0 {
                     continue;
                 }
-                let zero = vec![0i32; query.dim];
                 grid_level_distance(query, &pattern.sgs, &zero)
             } else {
                 best_alignment(query, &pattern.sgs, config.alignment_budget).distance
@@ -287,6 +312,29 @@ mod tests {
         let p = base.get(id).unwrap();
         assert_eq!(p.window, WindowId(3));
         assert_eq!(p.features, p.sgs.features());
+    }
+
+    #[test]
+    fn feature_caps_track_inserts() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut base = PatternBase::new();
+        assert_eq!(base.feature_caps, [1.0; 4]);
+        for k in 0..40 {
+            let sgs = blob(
+                rng.gen_range(0.0..30.0),
+                rng.gen_range(0.0..30.0),
+                rng.gen_range(1..50),
+            );
+            base.insert(sgs, WindowId(k));
+            let mut rescan = [1.0f64; 4];
+            for p in base.iter() {
+                for (cap, feature) in rescan.iter_mut().zip(p.features.iter()) {
+                    *cap = cap.max(*feature);
+                }
+            }
+            assert_eq!(base.feature_caps, rescan, "after {} inserts", k + 1);
+        }
     }
 
     #[test]

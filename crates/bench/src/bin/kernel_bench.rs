@@ -14,7 +14,8 @@
 //! ```
 //!
 //! `--json` prints one machine-readable report object to stdout instead of
-//! the table (CI uploads it as `BENCH_kernels.json`).
+//! the table (CI uploads it as `BENCH_kernels.json`, and the STT run as
+//! `BENCH_kernels_stt.json`).
 
 use std::time::Instant;
 
@@ -386,9 +387,11 @@ fn main() {
         work: (ga_n * gb_n) as u64,
     });
 
-    let stream_name = match dataset {
-        Dataset::Gmti => "gmti",
-        Dataset::Stt => "stt",
+    // The report name carries the dataset so one CI run can keep both
+    // reports: the bench-history and regression scripts key on it.
+    let (stream_name, bench_name) = match dataset {
+        Dataset::Gmti => ("gmti", "kernels"),
+        Dataset::Stt => ("stt", "kernels_stt"),
     };
     if json {
         let json_rows: Vec<JsonObject> = rows
@@ -402,7 +405,7 @@ fn main() {
             })
             .collect();
         let report = JsonObject::new()
-            .str("bench", "kernels")
+            .str("bench", bench_name)
             .str("dataset", stream_name)
             .u64("case", case as u64 + 1)
             .u64("tuples", win)

@@ -9,12 +9,11 @@
 //! is exhausted, returning the best distance seen — an *anytime* answer.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
-use sgs_index::FxHashSet;
 use sgs_summarize::Sgs;
 
-use crate::grid_match::grid_level_distance;
+use crate::coord_table::CoordTable;
+use crate::grid_match::GridMatcher;
 
 /// Outcome of the anytime alignment search.
 #[derive(Clone, Debug, PartialEq)]
@@ -46,28 +45,59 @@ fn cell_centroid(sgs: &Sgs) -> Vec<f64> {
     acc
 }
 
-#[derive(PartialEq)]
-struct Candidate {
-    distance: f64,
-    shift: Vec<i32>,
+/// State of one search. Every evaluated alignment lives once in a flat
+/// table — the seen-set, indexed in evaluation order — and the open
+/// list and the best-so-far refer to it by index, so no shift is ever
+/// cloned.
+struct Search<'s> {
+    grid: GridMatcher<'s>,
+    shifts: CoordTable,
+    distances: Vec<f64>,
+    /// Evaluated alignments not yet expanded.
+    open: Vec<u32>,
+    best: u32,
+    best_distance: f64,
 }
 
-impl Eq for Candidate {}
-
-impl Ord for Candidate {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on distance: reverse the comparison.
-        other
-            .distance
-            .partial_cmp(&self.distance)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.shift.cmp(&self.shift))
+impl Search<'_> {
+    fn evaluated(&self) -> usize {
+        self.shifts.len()
     }
-}
 
-impl PartialOrd for Candidate {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+    /// Evaluate `shift` unless it was evaluated before.
+    fn evaluate(&mut self, shift: &[i32]) {
+        let Some(k) = self.shifts.insert(shift) else {
+            return;
+        };
+        let d = self.grid.distance(shift);
+        if d < self.best_distance {
+            self.best = k;
+            self.best_distance = d;
+        }
+        self.distances.push(d);
+        self.open.push(k);
+    }
+
+    /// Remove and return the most promising open alignment: least
+    /// distance, ties to the lexicographically least shift. That is a
+    /// total order (distances are never NaN, shifts are distinct), so
+    /// the expansion sequence does not depend on how the open list is
+    /// stored. A scan is O(open) per pop, which the default budget of 64
+    /// keeps small.
+    fn pop(&mut self) -> Option<u32> {
+        let mut at = 0;
+        for i in 1..self.open.len() {
+            let (k, cur) = (self.open[i], self.open[at]);
+            let by_distance = self.distances[k as usize]
+                .partial_cmp(&self.distances[cur as usize])
+                .unwrap_or(Ordering::Equal);
+            if by_distance.then_with(|| self.shifts.get(k).cmp(self.shifts.get(cur)))
+                == Ordering::Less
+            {
+                at = i;
+            }
+        }
+        (!self.open.is_empty()).then(|| self.open.swap_remove(at))
     }
 }
 
@@ -76,10 +106,12 @@ impl PartialOrd for Candidate {
 /// cell-centroid offset, which overlaps the clusters' mass centers.
 pub fn best_alignment(a: &Sgs, b: &Sgs, budget: usize) -> AlignmentResult {
     let dim = a.dim.max(b.dim).max(1);
+    let grid = GridMatcher::new(a, b);
     if a.cells.is_empty() || b.cells.is_empty() {
+        let shift = vec![0; dim];
         return AlignmentResult {
-            shift: vec![0; dim],
-            distance: grid_level_distance(a, b, &vec![0; dim]),
+            distance: grid.distance(&shift),
+            shift,
             evaluated: 1,
         };
     }
@@ -90,55 +122,44 @@ pub fn best_alignment(a: &Sgs, b: &Sgs, budget: usize) -> AlignmentResult {
         .zip(cb.iter())
         .map(|(x, y)| (y - x).round() as i32)
         .collect();
+    debug_assert_eq!(seed.len(), dim, "summaries of different dimensionality");
 
-    let mut seen: FxHashSet<Vec<i32>> = FxHashSet::default();
-    let mut heap = BinaryHeap::new();
-    let mut evaluated = 0usize;
-    let mut best = AlignmentResult {
-        shift: seed.clone(),
-        distance: f64::INFINITY,
-        evaluated: 0,
+    let mut search = Search {
+        grid,
+        shifts: CoordTable::with_capacity(dim, budget.min(256)),
+        distances: Vec::new(),
+        open: Vec::new(),
+        best: 0,
+        best_distance: f64::INFINITY,
     };
-
-    let evaluate = |shift: Vec<i32>,
-                    seen: &mut FxHashSet<Vec<i32>>,
-                    heap: &mut BinaryHeap<Candidate>,
-                    best: &mut AlignmentResult,
-                    evaluated: &mut usize| {
-        if !seen.insert(shift.clone()) {
-            return;
-        }
-        let d = grid_level_distance(a, b, &shift);
-        *evaluated += 1;
-        if d < best.distance {
-            best.distance = d;
-            best.shift = shift.clone();
-        }
-        heap.push(Candidate { distance: d, shift });
-    };
-
-    evaluate(seed, &mut seen, &mut heap, &mut best, &mut evaluated);
-    while evaluated < budget {
-        let Some(cur) = heap.pop() else {
+    search.evaluate(&seed);
+    let mut next = Vec::with_capacity(dim);
+    while search.evaluated() < budget {
+        let Some(cur) = search.pop() else {
             break;
         };
         // Expand ±1 on each dimension from the most promising alignment.
+        next.clear();
+        next.extend_from_slice(search.shifts.get(cur));
         for d in 0..dim {
             for delta in [-1, 1] {
-                if evaluated >= budget {
+                if search.evaluated() >= budget {
                     break;
                 }
-                let mut next = cur.shift.clone();
                 next[d] += delta;
-                evaluate(next, &mut seen, &mut heap, &mut best, &mut evaluated);
+                search.evaluate(&next);
+                next[d] -= delta;
             }
         }
-        if best.distance == 0.0 {
+        if search.best_distance == 0.0 {
             break; // perfect alignment; nothing can improve
         }
     }
-    best.evaluated = evaluated;
-    best
+    AlignmentResult {
+        shift: search.shifts.get(search.best).to_vec(),
+        distance: search.best_distance,
+        evaluated: search.evaluated(),
+    }
 }
 
 #[cfg(test)]

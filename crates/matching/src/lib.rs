@@ -18,6 +18,7 @@
 
 pub mod alignment;
 pub mod candidate;
+mod coord_table;
 pub mod ged;
 pub mod grid_match;
 pub mod hungarian;

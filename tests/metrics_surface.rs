@@ -182,4 +182,27 @@ fn both_scrape_paths_see_live_consistent_monotone_metrics() {
     client.goodbye().unwrap();
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+
+    // -- MATCH refine tallies, in process: every candidate that passes
+    // the cluster-level filter is either ruled out by the volume bound or
+    // refined, and the two counters split `refined` exactly.
+    let registry = streamsum::obs::registry();
+    let skipped = registry.counter("sgs_archive_match_refine_skipped_total");
+    let aligned = registry.counter("sgs_archive_alignments_total");
+    let geometry = streamsum::core::GridGeometry::basic(2, 1.0);
+    let strip = |n: usize| {
+        let cores = (0..n)
+            .map(|i| vec![0.05 + i as f64 * 0.3, 0.05].into())
+            .collect();
+        Sgs::from_members(&MemberSet::new(cores, vec![]), &geometry)
+    };
+    let mut base = PatternBase::new();
+    for (k, n) in (4..40).step_by(3).enumerate() {
+        base.insert(strip(n), WindowId(k as u64));
+    }
+    let (s0, a0) = (skipped.get(), aligned.get());
+    let outcome = base.match_query(&strip(16), &MatchConfig::equal_weights(false, 0.3));
+    let (ds, da) = (skipped.get() - s0, aligned.get() - a0);
+    assert!(ds > 0 && da > 0, "skipped {ds}, aligned {da}");
+    assert_eq!(ds + da, outcome.refined as u64);
 }
