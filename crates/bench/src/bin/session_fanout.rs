@@ -15,6 +15,12 @@
 //! cargo run --release -p sgs-bench --bin session_fanout -- [--scale 0.1] [--dataset gmti|stt] [--json]
 //! ```
 //!
+//! Each session stops reading as soon as all of its query's windows
+//! have arrived; the count follows from the stream length, `win` and
+//! `slide`. A 30 s wait without a push is the failure path: the session
+//! stops, its missing windows are reported, and the harness exits 1
+//! after printing the report.
+//!
 //! `--json` prints one machine-readable report object to stdout instead
 //! of the table (CI uploads it as `BENCH_sessions.json`).
 
@@ -24,16 +30,21 @@ use std::time::{Duration, Instant};
 use sgs_bench::json::JsonObject;
 use sgs_bench::obs_report::{metrics_json, parse_metrics};
 use sgs_bench::table::print_table;
-use sgs_bench::workload::{parse_dataset, parse_scale, Dataset};
+use sgs_bench::workload::{parse_dataset, parse_scale, window_count, Dataset};
 use sgs_client::Session;
 use sgs_core::PoolThreads;
 use sgs_server::{Server, ServerConfig};
+
+/// How long a session waits for its next push before it gives up and
+/// reports the windows still missing.
+const PUSH_TIMEOUT: Duration = Duration::from_secs(30);
 
 struct Row {
     sessions: u64,
     ingest_per_sec: f64,
     pushed_windows: u64,
     pushed_per_sec: f64,
+    missing_windows: u64,
     wall_secs: f64,
 }
 
@@ -53,6 +64,7 @@ fn main() {
     };
     let win = ((n as u64 / 3).max(200) / 2) * 2;
     let slide = win / 2;
+    let expected = window_count(n as u64, win, slide);
     let (theta_r, theta_c) = dataset.cases()[0];
     let detect = format!(
         "DETECT DensityBasedClusters f+s FROM {stream_name} \
@@ -73,25 +85,33 @@ fn main() {
         std::thread::spawn(move || server.run());
 
         let pushed = AtomicU64::new(0);
+        let missing = AtomicU64::new(0);
         let start = Instant::now();
         std::thread::scope(|scope| {
             let workers: Vec<_> = (0..sessions)
                 .map(|_| {
-                    let (points, detect, pushed) = (&points, &detect, &pushed);
+                    let (points, detect) = (&points, &detect);
+                    let (pushed, missing) = (&pushed, &missing);
                     scope.spawn(move || {
                         let mut client = Session::connect(addr).expect("session connects");
                         let q = client.detect(detect).expect("query registers");
                         client.feed(stream_name, points).expect("feed lands");
                         client.quiesce().expect("stream drains");
                         let mut sub = client.subscribe(q).expect("subscription starts");
-                        // The backlog arrives as pushed frames; a quiet
-                        // second means the query is fully delivered.
-                        while let Some(batch) = sub
-                            .wait_windows(Duration::from_secs(1))
-                            .expect("push stream stays healthy")
-                        {
-                            pushed.fetch_add(batch.len() as u64, Ordering::Relaxed);
+                        // The backlog arrives as pushed frames; stop once
+                        // every window of the stream is in.
+                        let mut got = 0u64;
+                        while got < expected {
+                            match sub
+                                .wait_windows(PUSH_TIMEOUT)
+                                .expect("push stream stays healthy")
+                            {
+                                Some(batch) => got += batch.len() as u64,
+                                None => break,
+                            }
                         }
+                        pushed.fetch_add(got, Ordering::Relaxed);
+                        missing.fetch_add(expected.saturating_sub(got), Ordering::Relaxed);
                         drop(sub);
                         client.goodbye().expect("clean goodbye");
                     })
@@ -110,6 +130,7 @@ fn main() {
             ingest_per_sec: (n * sessions) as f64 / wall,
             pushed_windows: pushed,
             pushed_per_sec: pushed as f64 / wall,
+            missing_windows: missing.load(Ordering::Relaxed),
             wall_secs: wall,
         });
     }
@@ -123,6 +144,7 @@ fn main() {
                     .f64("ingest_tuples_per_sec", r.ingest_per_sec)
                     .u64("pushed_windows", r.pushed_windows)
                     .f64("pushed_windows_per_sec", r.pushed_per_sec)
+                    .u64("missing_windows", r.missing_windows)
                     .f64("wall_secs", r.wall_secs)
             })
             .collect();
@@ -132,6 +154,7 @@ fn main() {
             .u64("tuples_per_session", n as u64)
             .u64("win", win)
             .u64("slide", slide)
+            .u64("windows_per_session", expected)
             .u64("dispatch_threads", 4)
             .u64("pool_threads", 4)
             .u64(
@@ -152,6 +175,7 @@ fn main() {
                     format!("{:.0}", r.ingest_per_sec),
                     r.pushed_windows.to_string(),
                     format!("{:.0}", r.pushed_per_sec),
+                    r.missing_windows.to_string(),
                     format!("{:.2}", r.wall_secs),
                 ]
             })
@@ -166,9 +190,18 @@ fn main() {
                 "ingest tuples/s",
                 "pushed windows",
                 "pushed/s",
+                "missing",
                 "wall s",
             ],
             &table,
         );
+    }
+    let missing: u64 = rows.iter().map(|r| r.missing_windows).sum();
+    if missing > 0 {
+        eprintln!(
+            "session_fanout: {missing} windows never arrived \
+             ({expected} expected per session)"
+        );
+        std::process::exit(1);
     }
 }

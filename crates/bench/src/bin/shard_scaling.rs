@@ -15,7 +15,8 @@
 //! ```
 //!
 //! `--json` prints one machine-readable report object to stdout instead
-//! of the table (CI uploads it as `BENCH_shard_scaling.json`). Expect
+//! of the table (CI uploads it as `BENCH_shard_scaling.json`, and the
+//! GMTI run as `BENCH_shard_scaling_gmti.json`). Expect
 //! near-linear speedup up to the machine's core count; on a single-core
 //! runner every S reports roughly the S = 1 rate.
 
@@ -87,9 +88,11 @@ fn main() {
         });
     }
 
-    let stream_name = match dataset {
-        Dataset::Gmti => "gmti",
-        Dataset::Stt => "stt",
+    // The report name carries the dataset so one CI run can keep both
+    // reports: the bench-history and regression scripts key on it.
+    let (stream_name, bench_name) = match dataset {
+        Dataset::Gmti => ("gmti", "shard_scaling_gmti"),
+        Dataset::Stt => ("stt", "shard_scaling"),
     };
     if json {
         let json_rows: Vec<JsonObject> = rows
@@ -104,7 +107,7 @@ fn main() {
             })
             .collect();
         let report = JsonObject::new()
-            .str("bench", "shard_scaling")
+            .str("bench", bench_name)
             .str("dataset", stream_name)
             .u64("tuples", n as u64)
             .u64("win", win)

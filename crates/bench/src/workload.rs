@@ -85,6 +85,18 @@ pub fn config_grid(dataset: Dataset, win: u64, slides: &[u64]) -> Vec<Config> {
     out
 }
 
+/// Number of windows a count-based query emits over a stream of `n`
+/// tuples: window `k` closes when tuple `k·slide + win` arrives, so the
+/// last one needs the first tuple of the next slide.
+pub fn window_count(n: u64, win: u64, slide: u64) -> u64 {
+    assert!(slide > 0, "slide must be positive");
+    if n <= win {
+        0
+    } else {
+        (n - win - 1) / slide + 1
+    }
+}
+
 /// Scale factor from CLI args: `--scale 0.1` shrinks the stream length for
 /// quick runs; default 1.0 runs the full configured workload.
 pub fn parse_scale(args: &[String]) -> f64 {
@@ -105,6 +117,16 @@ pub fn parse_dataset(args: &[String]) -> Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn window_count_needs_the_closing_tuple() {
+        assert_eq!(window_count(10_000, 10_000, 1_000), 0);
+        assert_eq!(window_count(10_001, 10_000, 1_000), 1);
+        // A stream ending on a slide boundary: (n − win) / slide.
+        assert_eq!(window_count(11_000, 10_000, 1_000), 1);
+        assert_eq!(window_count(11_001, 10_000, 1_000), 2);
+        assert_eq!(window_count(210_000, 10_000, 1_000), 200);
+    }
 
     #[test]
     fn grid_has_cases_times_slides() {

@@ -144,6 +144,16 @@ impl GridGeometry {
         self.reach
     }
 
+    /// Width in cells of a grid *region* (`DESIGN.md` §6): one
+    /// reachability block, `2·reach + 1`. Regions are the unit sharded
+    /// extraction routes by and the unit a grid index lists its occupied
+    /// cells in. Being as wide as the block, a region lets any block
+    /// overlap at most two regions per dimension.
+    #[inline]
+    pub fn region_width(&self) -> i32 {
+        2 * self.reach.max(1) + 1
+    }
+
     /// Volume of one cell.
     #[inline]
     pub fn cell_volume(&self) -> f64 {

@@ -41,10 +41,10 @@
 //! shard count, `S = 1` runs the original single-threaded code verbatim,
 //! and each object still costs exactly one range-query search.
 
-use sgs_core::{kernel, CellCoord, ClusterQuery, GridGeometry, Point, PointId, WindowId};
+use sgs_core::{kernel, ClusterQuery, GridGeometry, Point, PointId, WindowId};
 use sgs_exec::Pool;
 use sgs_index::grid::CellSlab;
-use sgs_index::ShardRouter;
+use sgs_index::{ReachBlock, ShardRouter};
 use sgs_stream::{ExpiryHistogram, WindowConsumer};
 
 use crate::cell_store::CellStore;
@@ -129,12 +129,11 @@ impl CSgs {
             .map(|p| p.get() * 2)
             .unwrap_or(1)
             .max(4);
-        // Region width ≥ the range-query reach, so a point's neighborhood
-        // spans at most the regions adjacent to its own. Using a full
-        // block width (2·reach + 1) keeps most of a point's neighborhood
-        // in one region: discovery routes fewer regions per search and
-        // most pair raises stay shard-local.
-        let router = ShardRouter::new(2 * geometry.reach().max(1) + 1, s);
+        // Regions one reachability block wide keep most of a point's
+        // neighborhood in one region: discovery routes at most 2^d
+        // regions per search and most pair raises stay shard-local. The
+        // grid indexes list their occupied cells by the same regions.
+        let router = ShardRouter::new(geometry.region_width(), s);
         let shards = (0..s).map(|_| Shard::new(geometry.clone())).collect();
         CSgs {
             query,
@@ -175,7 +174,7 @@ impl CSgs {
         let dim = self.query.dim;
         let old_shards = std::mem::take(&mut self.shards);
         let old_stores = std::mem::take(&mut self.cell_stores);
-        self.router = ShardRouter::new(2 * self.geometry.reach().max(1) + 1, new_s);
+        self.router = ShardRouter::new(self.geometry.region_width(), new_s);
         self.shards = (0..new_s)
             .map(|_| Shard::new(self.geometry.clone()))
             .collect();
@@ -264,26 +263,19 @@ impl CSgs {
         {
             let shards = &*shards;
             let mut walker = NeighborCellWalker::new(geometry, router);
-            walker.visit(
-                shards,
-                router,
-                &center,
-                &point.coords,
-                theta_sq,
-                |owner, slab| {
-                    // Whole-cell batch distance pass; the self-exclusion
-                    // branch runs once per match, not once per candidate.
-                    kernel::for_each_within(&point.coords, slab.coords(), theta_sq, |j| {
-                        let e_id = slab.id(j);
-                        if e_id != id {
-                            // Expiry rides inline in the cell slab — no
-                            // point-map lookup on the discovery hot path.
-                            hist.add(slab.expires_at(j));
-                            neighbors.push((e_id, owner));
-                        }
-                    });
-                },
-            );
+            walker.visit(shards, router, &point.coords, theta_sq, |owner, slab| {
+                // Whole-cell batch distance pass; the self-exclusion
+                // branch runs once per match, not once per candidate.
+                kernel::for_each_within(&point.coords, slab.coords(), theta_sq, |j| {
+                    let e_id = slab.id(j);
+                    if e_id != id {
+                        // Expiry rides inline in the cell slab — no
+                        // point-map lookup on the discovery hot path.
+                        hist.add(slab.expires_at(j));
+                        neighbors.push((e_id, owner));
+                    }
+                });
+            });
         }
         self.rqs_count += 1;
 
@@ -417,34 +409,26 @@ impl CSgs {
                 let mut walker = NeighborCellWalker::new(geometry, router);
                 for &ix in &buckets[i] {
                     let (p_id, point, p_exp) = items[ix as usize];
-                    let center = &shards[i].points[&p_id].cell;
                     let mut hist = ExpiryHistogram::new();
                     let mut neighbors = Vec::new();
-                    walker.visit(
-                        shards,
-                        router,
-                        center,
-                        &point.coords,
-                        theta_sq,
-                        |owner, slab| {
-                            kernel::for_each_within(&point.coords, slab.coords(), theta_sq, |j| {
-                                let e_id = slab.id(j);
-                                if e_id != p_id {
-                                    // Inline slab expiry: no point-map lookup
-                                    // per neighbor in the discover phase.
-                                    hist.add(slab.expires_at(j));
-                                    neighbors.push((e_id, owner));
-                                    if e_id < batch_first {
-                                        sc.out[owner as usize].push(HistMsg {
-                                            q: e_id,
-                                            p: p_id,
-                                            p_expires: p_exp,
-                                        });
-                                    }
+                    walker.visit(shards, router, &point.coords, theta_sq, |owner, slab| {
+                        kernel::for_each_within(&point.coords, slab.coords(), theta_sq, |j| {
+                            let e_id = slab.id(j);
+                            if e_id != p_id {
+                                // Inline slab expiry: no point-map lookup
+                                // per neighbor in the discover phase.
+                                hist.add(slab.expires_at(j));
+                                neighbors.push((e_id, owner));
+                                if e_id < batch_first {
+                                    sc.out[owner as usize].push(HistMsg {
+                                        q: e_id,
+                                        p: p_id,
+                                        p_expires: p_exp,
+                                    });
                                 }
-                            });
-                        },
-                    );
+                            }
+                        });
+                    });
                     let core_until = hist.core_until(p_exp, now, theta_c).0;
                     sc.plans.push(NewPointPlan {
                         id: p_id,
@@ -597,128 +581,45 @@ impl CSgs {
     }
 }
 
-/// Reusable range-query walker over sharded grids.
+/// The range-query walk over sharded grids: the [`GridIndex`] walk
+/// ([`ReachBlock`]), with each region of the reachability block scanned
+/// by the index of the shard that owns it. The region is the router's
+/// unit, so each region is routed once and its cells need no routing.
+/// Cells come in region order, then coordinate order, not the odometer
+/// order of [`GridGeometry::reachable_cells`]; discovery does not depend
+/// on the order.
 ///
-/// Enumerates the `(2·reach + 1)^d` reachability block of a cell —
-/// the same cells [`GridGeometry::reachable_cells`] yields — but grouped
-/// by *region*, so each region of the block is routed to its owning shard
-/// once instead of hashing every cell (the region width is ≥ the reach,
-/// so a block spans at most 3 regions per dimension). The cell coordinate
-/// buffer is reused across the whole walk: no allocation per visited
-/// cell.
+/// [`GridIndex`]: sgs_index::GridIndex
 struct NeighborCellWalker {
-    reach: i32,
-    width: i32,
-    side: f64,
-    /// Reused buffers: cell bounds, region bounds, odometers.
-    lo: Vec<i32>,
-    hi: Vec<i32>,
-    rlo: Vec<i32>,
-    rhi: Vec<i32>,
-    reg: Vec<i32>,
-    clo: Vec<i32>,
-    chi: Vec<i32>,
-    cell: CellCoord,
+    block: ReachBlock,
 }
 
 impl NeighborCellWalker {
     fn new(geometry: &GridGeometry, router: &ShardRouter) -> Self {
-        let d = geometry.dim();
+        debug_assert_eq!(router.width(), geometry.region_width());
         NeighborCellWalker {
-            reach: geometry.reach(),
-            width: router.width(),
-            side: geometry.side(),
-            lo: vec![0; d],
-            hi: vec![0; d],
-            rlo: vec![0; d],
-            rhi: vec![0; d],
-            reg: vec![0; d],
-            clo: vec![0; d],
-            chi: vec![0; d],
-            cell: CellCoord::new(vec![0; d]),
+            block: ReachBlock::new(geometry),
         }
     }
 
-    /// Call `f(owner, slab)` for every non-empty grid cell within reach
-    /// of `center`, across all shards — skipping, before the per-cell
-    /// hash probe, any cell whose bounding box provably lies farther
-    /// than `theta_sq` from `coords` (same conservative 16 ε margin as
-    /// the single-grid walk in `sgs-index`; the skip can only drop cells
-    /// with no possible match, so sharded discovery stays byte-identical).
+    /// Call `f(owner, slab)` for every occupied, unpruned grid cell
+    /// within reach of `coords`, across all shards.
     fn visit<'a>(
         &mut self,
         shards: &'a [Shard],
         router: &ShardRouter,
-        center: &CellCoord,
         coords: &[f64],
         theta_sq: f64,
         mut f: impl FnMut(u32, &'a CellSlab),
     ) {
-        let prune = theta_sq + theta_sq * 16.0 * f64::EPSILON;
-        let side = self.side;
-        let d = center.0.len();
-        for i in 0..d {
-            self.lo[i] = center.0[i] - self.reach;
-            self.hi[i] = center.0[i] + self.reach;
-            self.rlo[i] = self.lo[i].div_euclid(self.width);
-            self.rhi[i] = self.hi[i].div_euclid(self.width);
-            self.reg[i] = self.rlo[i];
-        }
-        'regions: loop {
-            let owner = router.shard_of_region(&self.reg);
-            let index = &shards[owner].index;
-            if !index.is_empty() {
-                // The block of cells falling in this region.
-                for i in 0..d {
-                    self.clo[i] = self.lo[i].max(self.reg[i] * self.width);
-                    self.chi[i] = self.hi[i].min(self.reg[i] * self.width + self.width - 1);
-                    self.cell.0[i] = self.clo[i];
-                }
-                'cells: loop {
-                    let mut min_sq = 0.0;
-                    for (&ci, &c) in self.cell.0.iter().zip(coords) {
-                        let lo_edge = ci as f64 * side;
-                        let hi_edge = lo_edge + side;
-                        let delta = if c < lo_edge {
-                            lo_edge - c
-                        } else if c > hi_edge {
-                            c - hi_edge
-                        } else {
-                            0.0
-                        };
-                        min_sq += delta * delta;
-                    }
-                    if min_sq <= prune {
-                        let bucket = index.cell_points(&self.cell);
-                        if !bucket.is_empty() {
-                            f(owner as u32, bucket);
-                        }
-                    }
-                    let mut i = 0;
-                    loop {
-                        if i == d {
-                            break 'cells;
-                        }
-                        self.cell.0[i] += 1;
-                        if self.cell.0[i] <= self.chi[i] {
-                            break;
-                        }
-                        self.cell.0[i] = self.clo[i];
-                        i += 1;
-                    }
-                }
-            }
-            let mut i = 0;
-            loop {
-                if i == d {
-                    break 'regions;
-                }
-                self.reg[i] += 1;
-                if self.reg[i] <= self.rhi[i] {
-                    break;
-                }
-                self.reg[i] = self.rlo[i];
-                i += 1;
+        self.block.aim(coords, theta_sq);
+        loop {
+            let owner = router.shard_of_region(self.block.region());
+            shards[owner]
+                .index
+                .for_each_cell_in_region(&self.block, |_, slab| f(owner as u32, slab));
+            if !self.block.next_region() {
+                return;
             }
         }
     }

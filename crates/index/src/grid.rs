@@ -1,16 +1,25 @@
 //! The uniform grid index used by the pattern extractor (§5.4).
 //!
 //! Every arriving object is loaded into its cell, then a single **range
-//! query search** (RQS) finds its neighbors by scanning the bounded set of
-//! reachable cells (`(2·reach+1)^d`, see [`GridGeometry::reachable_cells`])
-//! and pruning by true distance. Because the basic cell diagonal equals θr,
+//! query search** (RQS) finds its neighbors among the cells a θr-ball can
+//! reach (the `(2·reach+1)^d` block of [`GridGeometry::reachable_cells`]),
+//! pruning by true distance. Because the basic cell diagonal equals θr,
 //! all points co-located in a cell are mutual neighbors (Lemma 4.1) — the
 //! index exposes per-cell buckets so algorithms can exploit that.
+//!
+//! The index lists the occupied cells of every grid *region* (one block
+//! wide, [`GridGeometry::region_width`]), so an RQS scans the lists of
+//! the at most `2^d` regions its block overlaps instead of probing every
+//! cell of the block ([`ReachBlock`], `DESIGN.md` §13). Most cells of a
+//! 4-d block are empty.
 //!
 //! Cell storage is structure-of-arrays ([`CellSlab`]): each cell keeps one
 //! contiguous coordinate slab plus parallel id/expiry columns, so the
 //! distance pruning of an RQS feeds whole cells into the batched
 //! [`sgs_core::kernel`] with zero pointer chasing (`DESIGN.md` §13).
+
+use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
 
 use sgs_core::{kernel, CellCoord, GridGeometry, HeapSize, Point, PointId, WindowId};
 
@@ -125,10 +134,25 @@ impl CellSlab {
 }
 
 /// Uniform grid over the data space, bucketing live points by cell.
+///
+/// Every grid *region* ([`GridGeometry::region_width`] cells wide per
+/// dimension) lists its occupied cells, and each listed cell points to
+/// its slab in an arena, so a range query scans only occupied cells
+/// ([`ReachBlock`]). The region lists are also the cell lookup: a cell
+/// is found in its region's sorted list. A list changes only when a
+/// cell's slab is created or emptied.
 #[derive(Clone, Debug)]
 pub struct GridIndex {
     geometry: GridGeometry,
-    cells: FxHashMap<CellCoord, CellSlab>,
+    /// Region coordinate → one `dim + 1` record per occupied cell of the
+    /// region: the cell's coordinates, then its slot in `slabs` (as
+    /// `i32`). Records are sorted by coordinates. Regions without
+    /// occupied cells have no entry.
+    regions: FxHashMap<RegionKey, Vec<i32>>,
+    /// The slab arena. A freed slot holds an empty, unallocated slab.
+    slabs: Vec<CellSlab>,
+    /// Freed slots, reused before the arena grows.
+    free: Vec<u32>,
     len: usize,
 }
 
@@ -137,7 +161,9 @@ impl GridIndex {
     pub fn new(geometry: GridGeometry) -> Self {
         GridIndex {
             geometry,
-            cells: FxHashMap::default(),
+            regions: FxHashMap::default(),
+            slabs: Vec::new(),
+            free: Vec::new(),
             len: 0,
         }
     }
@@ -163,7 +189,7 @@ impl GridIndex {
     /// Number of non-empty cells.
     #[inline]
     pub fn cell_count(&self) -> usize {
-        self.cells.len()
+        self.slabs.len() - self.free.len()
     }
 
     /// Insert a non-expiring point (entry expiry pinned to the maximum
@@ -182,17 +208,7 @@ impl GridIndex {
         expires_at: WindowId,
     ) -> CellCoord {
         let cell = self.geometry.cell_of(point);
-        // Established cells (the overwhelmingly common case) take the
-        // `get_mut` fast path; the key is cloned only when the insert
-        // actually creates a new cell.
-        if let Some(slab) = self.cells.get_mut(&cell) {
-            slab.push(id, &point.coords, expires_at);
-        } else {
-            let mut slab = CellSlab::default();
-            slab.push(id, &point.coords, expires_at);
-            self.cells.insert(cell.clone(), slab);
-        }
-        self.len += 1;
+        self.insert_at(&cell, id, &point.coords, expires_at);
         cell
     }
 
@@ -206,84 +222,129 @@ impl GridIndex {
         coords: &[f64],
         expires_at: WindowId,
     ) {
-        if let Some(slab) = self.cells.get_mut(cell) {
-            slab.push(id, coords, expires_at);
-        } else {
-            let mut slab = CellSlab::default();
-            slab.push(id, coords, expires_at);
-            self.cells.insert(cell.clone(), slab);
-        }
+        let key = &cell.0[..];
+        let list = self.regions.entry(self.region_of(key)).or_default();
+        let at = record_index(list, key);
+        let slot = match find_record(list, key, at) {
+            Some(slot) => slot,
+            None => {
+                // A new cell: give it a slot and list it.
+                let slot = self.free.pop().unwrap_or_else(|| {
+                    self.slabs.push(CellSlab::default());
+                    (self.slabs.len() - 1) as u32
+                });
+                let rec = key.len() + 1;
+                list.splice(at * rec..at * rec, key.iter().copied().chain([slot as i32]));
+                slot
+            }
+        };
+        self.slabs[slot as usize].push(id, coords, expires_at);
         self.len += 1;
     }
 
     /// Remove a point from the cell it was inserted into. Returns `true`
     /// if it was present.
     pub fn remove(&mut self, id: PointId, cell: &CellCoord) -> bool {
-        let Some(slab) = self.cells.get_mut(cell) else {
+        let key = &cell.0[..];
+        let region = self.region_of(key);
+        let Some(list) = self.regions.get_mut(&region) else {
             return false;
         };
+        let at = record_index(list, key);
+        let Some(slot) = find_record(list, key, at) else {
+            return false;
+        };
+        let slab = &mut self.slabs[slot as usize];
         let Some(pos) = slab.ids.iter().position(|&e| e == id) else {
             return false;
         };
         slab.swap_remove(pos);
         if slab.is_empty() {
-            self.cells.remove(cell);
+            // The cell emptied: free its slot and unlist it, dropping the
+            // region's list once that is empty.
+            *slab = CellSlab::default();
+            self.free.push(slot);
+            let rec = key.len() + 1;
+            list.drain(at * rec..at * rec + rec);
+            if list.is_empty() {
+                self.regions.remove(&region);
+            }
         }
         self.len -= 1;
         true
     }
 
+    /// The region coordinate of a cell (floor division per dimension).
+    fn region_of(&self, cell: &[i32]) -> RegionKey {
+        let w = self.geometry.region_width();
+        RegionKey::new(cell.iter().map(|c| c.div_euclid(w)))
+    }
+
     /// The live points currently bucketed in `cell` (an empty slab when
     /// the cell has none).
-    #[inline]
     pub fn cell_points(&self, cell: &CellCoord) -> &CellSlab {
-        self.cells.get(cell).unwrap_or(&EMPTY_SLAB)
+        let key = &cell.0[..];
+        self.regions
+            .get(&self.region_of(key))
+            .and_then(|list| find_record(list, key, record_index(list, key)))
+            .map_or(&EMPTY_SLAB, |slot| &self.slabs[slot as usize])
     }
 
     /// Iterate over all non-empty cells.
-    pub fn cells(&self) -> impl Iterator<Item = (&CellCoord, &CellSlab)> {
-        self.cells.iter()
+    pub fn cells(&self) -> impl Iterator<Item = (&[i32], &CellSlab)> {
+        let d = self.geometry.dim();
+        self.regions.values().flat_map(move |list| {
+            list.chunks_exact(d + 1)
+                .map(move |r| (&r[..d], &self.slabs[r[d] as usize]))
+        })
     }
 
-    /// Visit every non-empty cell of the reachability block around the
-    /// cell containing `coords`, in the same order
-    /// [`GridGeometry::reachable_cells`] enumerates — but walking one
-    /// reused coordinate buffer instead of materializing `(2·reach+1)^d`
-    /// cell allocations per query (this enumeration is the hottest loop
-    /// of C-SGS insertion).
+    /// The range-query primitive: call `f(cell, slab)` for every occupied
+    /// cell of `block`'s current region that lies inside the block and
+    /// is not box-pruned.
     ///
-    /// Cells whose bounding box provably sits farther than `theta_sq`
-    /// from the query are skipped *before* the hash probe: the
-    /// reachability block over-covers the θr-ball (its corner cells
-    /// mostly lie outside it), and a few flops of box-clamping are much
-    /// cheaper than a map lookup. The skip threshold carries a 16 ε
-    /// relative margin so floating-point rounding in the box arithmetic
-    /// can only ever err toward *visiting* a cell — pruning never changes
-    /// the match set.
-    fn for_each_reachable_bucket(
-        &self,
-        coords: &[f64],
-        theta_sq: f64,
-        mut f: impl FnMut(&CellCoord, &CellSlab),
+    /// Only the region's list of occupied cells is scanned. Each listed
+    /// cell must lie inside the reachability block, and its bounding box
+    /// must lie within the block's radius of the query point. That box
+    /// test carries a 16 ε relative margin, so floating-point rounding in
+    /// the box arithmetic can only ever err toward *visiting* a cell:
+    /// pruning never changes the match set. Cells come in coordinate
+    /// order, not the odometer order of
+    /// [`GridGeometry::reachable_cells`]; no consumer's result depends on
+    /// the visiting order.
+    pub fn for_each_cell_in_region<'s>(
+        &'s self,
+        block: &ReachBlock,
+        mut f: impl FnMut(&'s [i32], &'s CellSlab),
     ) {
-        let d = self.geometry.dim();
-        let side = self.geometry.side();
-        let reach = self.geometry.reach();
-        debug_assert_eq!(coords.len(), d);
-        let prune = theta_sq + theta_sq * 16.0 * f64::EPSILON;
-        let mut lo = vec![0i32; d];
-        let mut hi = vec![0i32; d];
-        for i in 0..d {
-            let c = (coords[i] / side).floor() as i32;
-            lo[i] = c - reach;
-            hi[i] = c + reach;
-        }
-        let mut cell = CellCoord::new(lo.clone());
-        loop {
-            // Minimum squared distance from the query to the cell's box.
+        let Some(list) = self.regions.get(block.region()) else {
+            return;
+        };
+        let d = block.query.len();
+        debug_assert_eq!(d, self.geometry.dim());
+        debug_assert_eq!(block.width, self.geometry.region_width());
+        let side = block.side;
+        let (lo, hi) = (&block.bounds[..d], &block.bounds[d..2 * d]);
+        // Records are sorted, so the cells inside the block on dimension
+        // 0 form one run.
+        let rec = d + 1;
+        let first = partition_point(list.len() / rec, |i| list[i * rec] < lo[0]);
+        for record in list[first * rec..].chunks_exact(rec) {
+            let key = &record[..d];
+            if key[0] > hi[0] {
+                break;
+            }
+            let inside = key
+                .iter()
+                .zip(lo.iter().zip(hi))
+                .all(|(k, (l, h))| l <= k && k <= h);
+            if !inside {
+                continue;
+            }
+            // Squared distance from the query to the cell's box.
             let mut min_sq = 0.0;
-            for (&ci, &c) in cell.0.iter().zip(coords) {
-                let lo_edge = ci as f64 * side;
+            for (&k, &c) in key.iter().zip(&block.query) {
+                let lo_edge = k as f64 * side;
                 let hi_edge = lo_edge + side;
                 let delta = if c < lo_edge {
                     lo_edge - c
@@ -294,31 +355,39 @@ impl GridIndex {
                 };
                 min_sq += delta * delta;
             }
-            if min_sq <= prune {
-                if let Some(bucket) = self.cells.get(&cell) {
-                    f(&cell, bucket);
-                }
+            if min_sq <= block.prune {
+                f(key, &self.slabs[record[d] as usize]);
             }
-            // Odometer increment, dimension 0 fastest (the
-            // `reachable_cells` order).
-            let mut i = 0;
-            loop {
-                if i == d {
-                    return;
-                }
-                cell.0[i] += 1;
-                if cell.0[i] <= hi[i] {
-                    break;
-                }
-                cell.0[i] = lo[i];
-                i += 1;
+        }
+    }
+
+    /// Visit every occupied, unpruned cell of the reachability block
+    /// around `coords`: [`for_each_cell_in_region`] over each region the
+    /// block overlaps.
+    ///
+    /// [`for_each_cell_in_region`]: Self::for_each_cell_in_region
+    fn for_each_reachable_cell<'s>(
+        &'s self,
+        coords: &[f64],
+        theta_sq: f64,
+        mut f: impl FnMut(&'s [i32], &'s CellSlab),
+    ) {
+        let mut block = ReachBlock::new(&self.geometry);
+        block.aim(coords, theta_sq);
+        loop {
+            self.for_each_cell_in_region(&block, &mut f);
+            if !block.next_region() {
+                return;
             }
         }
     }
 
     /// Range query search: every indexed point within `theta_r` of `coords`,
     /// excluding `exclude` (the querying point itself, per Def. 3.1 a point
-    /// is not its own neighbor). Results are appended to `out`.
+    /// is not its own neighbor). Results are appended to `out` in cell
+    /// visiting order, which [`for_each_cell_in_region`] fixes.
+    ///
+    /// [`for_each_cell_in_region`]: Self::for_each_cell_in_region
     ///
     /// Each visited cell's slab is fed whole into the batched distance
     /// kernel; the self-exclusion check runs once per *match*, not once
@@ -331,7 +400,7 @@ impl GridIndex {
         out: &mut Vec<PointId>,
     ) {
         let theta_sq = theta_r * theta_r;
-        self.for_each_reachable_bucket(coords, theta_sq, |_, slab| {
+        self.for_each_reachable_cell(coords, theta_sq, |_, slab| {
             kernel::for_each_within(coords, &slab.coords, theta_sq, |j| {
                 let id = slab.ids[j];
                 if id != exclude {
@@ -352,25 +421,202 @@ impl GridIndex {
         out: &mut Vec<(PointId, CellCoord, WindowId)>,
     ) {
         let theta_sq = theta_r * theta_r;
-        self.for_each_reachable_bucket(coords, theta_sq, |cell, slab| {
+        self.for_each_reachable_cell(coords, theta_sq, |cell, slab| {
             kernel::for_each_within(coords, &slab.coords, theta_sq, |j| {
                 let id = slab.ids[j];
                 if id != exclude {
-                    out.push((id, cell.clone(), slab.expires[j]));
+                    out.push((id, CellCoord::new(cell), slab.expires[j]));
                 }
             });
         });
     }
 }
 
+/// Dimensions up to which a region coordinate is stored inline.
+const INLINE_DIMS: usize = 4;
+
+/// A region coordinate, the key of the region lists. Up to
+/// [`INLINE_DIMS`] dimensions (both paper datasets) it is stored inline,
+/// so neither a listed region nor an insert's lookup allocates. It
+/// hashes and compares as the `[i32]` it holds, so a range query probes
+/// the lists with a plain slice.
+#[derive(Clone, Debug)]
+enum RegionKey {
+    Inline(u8, [i32; INLINE_DIMS]),
+    Boxed(Box<[i32]>),
+}
+
+impl RegionKey {
+    fn new(coords: impl ExactSizeIterator<Item = i32>) -> Self {
+        let d = coords.len();
+        if d <= INLINE_DIMS {
+            let mut inline = [0; INLINE_DIMS];
+            for (slot, c) in inline.iter_mut().zip(coords) {
+                *slot = c;
+            }
+            RegionKey::Inline(d as u8, inline)
+        } else {
+            RegionKey::Boxed(coords.collect())
+        }
+    }
+
+    fn coords(&self) -> &[i32] {
+        match self {
+            RegionKey::Inline(d, inline) => &inline[..*d as usize],
+            RegionKey::Boxed(coords) => coords,
+        }
+    }
+}
+
+impl Borrow<[i32]> for RegionKey {
+    fn borrow(&self) -> &[i32] {
+        self.coords()
+    }
+}
+
+impl PartialEq for RegionKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.coords() == other.coords()
+    }
+}
+
+impl Eq for RegionKey {}
+
+impl Hash for RegionKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.coords().hash(state);
+    }
+}
+
+/// The first index in `0..n` where `below` turns false (`below` holds
+/// on a prefix of the range).
+fn partition_point(n: usize, mut below: impl FnMut(usize) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, n);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if below(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// Where `key` sits among a region list's sorted records: the index of
+/// its record, or of the record it would be inserted before.
+fn record_index(list: &[i32], key: &[i32]) -> usize {
+    let rec = key.len() + 1;
+    partition_point(list.len() / rec, |i| {
+        &list[i * rec..i * rec + rec - 1] < key
+    })
+}
+
+/// The slot of `key` if record `at` (from [`record_index`]) is its.
+fn find_record(list: &[i32], key: &[i32], at: usize) -> Option<u32> {
+    let rec = key.len() + 1;
+    let record = list.get(at * rec..at * rec + rec)?;
+    (&record[..rec - 1] == key).then_some(record[rec - 1] as u32)
+}
+
 impl HeapSize for GridIndex {
     fn heap_size(&self) -> usize {
-        let mut bytes = self.cells.capacity() * (core::mem::size_of::<(CellCoord, CellSlab)>() + 1);
-        for (c, slab) in &self.cells {
-            bytes += c.heap_size();
+        use core::mem::size_of;
+        let mut bytes = self.regions.capacity() * (size_of::<(RegionKey, Vec<i32>)>() + 1)
+            + self.slabs.capacity() * size_of::<CellSlab>()
+            + self.free.capacity() * size_of::<u32>();
+        for (region, list) in &self.regions {
+            if let RegionKey::Boxed(coords) = region {
+                bytes += coords.len() * size_of::<i32>();
+            }
+            bytes += list.capacity() * size_of::<i32>();
+        }
+        for slab in &self.slabs {
             bytes += slab.heap_bytes();
         }
         bytes
+    }
+}
+
+/// The reachability block of one range query and the grid regions it
+/// overlaps: the walk state every grid consumer shares.
+///
+/// [`aim`](Self::aim) centers the block on a query point. The block is
+/// the `(2·reach + 1)^d` cells around the point's cell (every cell a
+/// θr-ball around the point can reach, as in
+/// [`GridGeometry::reachable_cells`]). A region is exactly as wide as the
+/// block ([`GridGeometry::region_width`]), so the block overlaps at most
+/// two regions per dimension, `2^d` in all.
+/// [`region`](Self::region) and [`next_region`](Self::next_region) step
+/// through them, and [`GridIndex::for_each_cell_in_region`] scans each
+/// region's occupied cells. A sharded extractor hands each region to the
+/// index of the shard that owns it. The buffers are reused across
+/// queries.
+#[derive(Clone, Debug)]
+pub struct ReachBlock {
+    side: f64,
+    reach: i32,
+    width: i32,
+    /// Squared query radius plus the box prune's 16 ε margin.
+    prune: f64,
+    /// The query point.
+    query: Vec<f64>,
+    /// Five `dim`-long runs: the block's cell bounds `lo`, `hi`, its
+    /// region bounds `rlo`, `rhi`, and the current region.
+    bounds: Vec<i32>,
+}
+
+impl ReachBlock {
+    /// A block for range queries over grids of `geometry`.
+    pub fn new(geometry: &GridGeometry) -> Self {
+        let d = geometry.dim();
+        ReachBlock {
+            side: geometry.side(),
+            reach: geometry.reach(),
+            width: geometry.region_width(),
+            prune: 0.0,
+            query: vec![0.0; d],
+            bounds: vec![0; 5 * d],
+        }
+    }
+
+    /// Center the block on `coords` for radius² `theta_sq`, and make the
+    /// first overlapped region current.
+    pub fn aim(&mut self, coords: &[f64], theta_sq: f64) {
+        let d = self.query.len();
+        debug_assert_eq!(coords.len(), d);
+        self.prune = theta_sq + theta_sq * 16.0 * f64::EPSILON;
+        self.query.copy_from_slice(coords);
+        for (i, &x) in coords.iter().enumerate() {
+            let c = (x / self.side).floor() as i32;
+            let (lo, hi) = (c - self.reach, c + self.reach);
+            let rlo = lo.div_euclid(self.width);
+            self.bounds[i] = lo;
+            self.bounds[d + i] = hi;
+            self.bounds[2 * d + i] = rlo;
+            self.bounds[3 * d + i] = hi.div_euclid(self.width);
+            self.bounds[4 * d + i] = rlo;
+        }
+    }
+
+    /// The current region's coordinate.
+    #[inline]
+    pub fn region(&self) -> &[i32] {
+        &self.bounds[4 * self.query.len()..]
+    }
+
+    /// Advance to the next overlapped region (dimension 0 fastest);
+    /// `false` once every region has been current.
+    pub fn next_region(&mut self) -> bool {
+        let d = self.query.len();
+        for i in 0..d {
+            if self.bounds[4 * d + i] < self.bounds[3 * d + i] {
+                self.bounds[4 * d + i] += 1;
+                return true;
+            }
+            self.bounds[4 * d + i] = self.bounds[2 * d + i];
+        }
+        false
     }
 }
 
@@ -504,5 +750,141 @@ mod tests {
             g.insert(PointId(i), &pt(i as f64, 0.0));
         }
         assert!(g.heap_size() > before);
+    }
+
+    /// Check the region lists: every occupied cell is listed exactly
+    /// once, in its own region and in sorted order; no list is empty;
+    /// every listed slot holds points; and every other slot is free.
+    fn assert_region_lists(g: &GridIndex) {
+        let d = g.geometry.dim();
+        let mut slots = Vec::new();
+        for (region, list) in &g.regions {
+            assert!(!list.is_empty(), "empty list retained for {region:?}");
+            let records: Vec<&[i32]> = list.chunks_exact(d + 1).collect();
+            for pair in records.windows(2) {
+                assert!(pair[0][..d] < pair[1][..d], "unsorted list {region:?}");
+            }
+            for record in records {
+                let (key, slot) = (&record[..d], record[d] as u32);
+                assert_eq!(&g.region_of(key), region, "{key:?} listed elsewhere");
+                assert!(!g.slabs[slot as usize].is_empty());
+                slots.push(slot);
+            }
+        }
+        assert_eq!(slots.len(), g.cell_count());
+        slots.extend(&g.free);
+        slots.sort_unstable();
+        let all: Vec<u32> = (0..g.slabs.len() as u32).collect();
+        assert_eq!(slots, all, "every slot listed once or free");
+    }
+
+    /// Number of cells listed in the region of `cell`.
+    fn listed(g: &GridIndex, cell: &CellCoord) -> usize {
+        g.regions[&g.region_of(&cell.0)].len() / (g.geometry.dim() + 1)
+    }
+
+    /// Points straddling the origin under insert/remove churn: region
+    /// boundaries on negative coordinates are where `div_euclid` (not
+    /// truncation) must pick the region. Runs in 4-d (inline region
+    /// keys) and 5-d (boxed ones).
+    #[test]
+    fn range_query_matches_brute_force_negative_under_churn() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x4d);
+        for (dim, theta, extent) in [(4, 0.5, 1.5), (5, 0.6, 1.2)] {
+            let mut g = GridIndex::new(GridGeometry::basic(dim, theta));
+            let mut live: Vec<(PointId, Point, CellCoord)> = Vec::new();
+            let mut next = 0u32;
+            for round in 0..12 {
+                for _ in 0..150 {
+                    let coords: Vec<f64> =
+                        (0..dim).map(|_| rng.gen_range(-extent..extent)).collect();
+                    let p = Point::new(coords, 0);
+                    let cell = g.insert(PointId(next), &p);
+                    live.push((PointId(next), p, cell));
+                    next += 1;
+                }
+                // Expire a random third, so cells and regions empty and
+                // refill.
+                for _ in 0..live.len() / 3 {
+                    let (id, _, cell) = live.swap_remove(rng.gen_range(0..live.len()));
+                    assert!(g.remove(id, &cell));
+                }
+                assert_eq!(g.len(), live.len());
+                assert_region_lists(&g);
+                for (id, p, _) in live.iter().step_by(3) {
+                    let mut fast = Vec::new();
+                    g.range_query(&p.coords, theta, *id, &mut fast);
+                    fast.sort();
+                    let mut slow: Vec<PointId> = live
+                        .iter()
+                        .filter(|(q_id, q, _)| q_id != id && p.is_neighbor(q, theta))
+                        .map(|(q_id, _, _)| *q_id)
+                        .collect();
+                    slow.sort();
+                    assert_eq!(fast, slow, "{dim}-d, round {round}, point {id:?}");
+                }
+            }
+            assert!(live
+                .iter()
+                .any(|(_, p, _)| p.coords.iter().all(|&x| x < 0.0)));
+        }
+    }
+
+    #[test]
+    fn region_lists_track_occupancy() {
+        let mut g = index2d(1.0);
+        let side = g.geometry.side();
+        // Two cells of one region, one cell of the region below-left of
+        // the origin.
+        let a = g.insert(PointId(0), &pt(0.1 * side, 0.1 * side));
+        let b = g.insert(PointId(1), &pt(1.1 * side, 0.1 * side));
+        let c = g.insert(PointId(2), &pt(-0.5 * side, -0.5 * side));
+        g.insert(PointId(3), &pt(0.2 * side, 0.2 * side));
+        assert_eq!(g.region_of(&a.0), g.region_of(&b.0));
+        assert_eq!(g.region_of(&c.0).coords(), &[-1, -1]);
+        assert_eq!(g.regions.len(), 2);
+        assert_region_lists(&g);
+
+        // Emptying the only cell of a region drops the region's list.
+        assert!(g.remove(PointId(2), &c));
+        assert_eq!(g.regions.len(), 1);
+        assert_region_lists(&g);
+        // A cell that still holds a point stays listed.
+        assert!(g.remove(PointId(0), &a));
+        assert_eq!(listed(&g, &a), 2);
+        assert_region_lists(&g);
+        // Emptied, then refilled: listed again (in a reused slot).
+        assert!(g.remove(PointId(1), &b));
+        assert_eq!(listed(&g, &a), 1);
+        g.insert(PointId(4), &pt(1.5 * side, 0.5 * side));
+        assert_eq!(listed(&g, &b), 2);
+        assert_region_lists(&g);
+        let mut out = Vec::new();
+        g.range_query(&[1.5 * side, 0.5 * side], 1.0, PointId(4), &mut out);
+        assert_eq!(out, vec![PointId(3)]);
+        // Empty index: no lists at all.
+        assert!(g.remove(PointId(3), &a));
+        assert!(g.remove(PointId(4), &b));
+        assert!(g.regions.is_empty() && g.is_empty());
+    }
+
+    /// Two indexes with the same nine one-point cells: one packs them
+    /// into a single region, the other spreads them over nine. Cell map,
+    /// slabs and keys are alike, so the difference is the region lists.
+    #[test]
+    fn heap_size_counts_region_lists() {
+        let geometry = GridGeometry::basic(2, 1.0);
+        let (side, w) = (geometry.side(), geometry.region_width() as f64);
+        let mut packed = index2d(1.0);
+        let mut spread = index2d(1.0);
+        for i in 0..9u32 {
+            let (x, y) = ((i % 3) as f64 + 0.5, (i / 3) as f64 + 0.5);
+            packed.insert(PointId(i), &pt(x * side, y * side));
+            spread.insert(PointId(i), &pt(x * w * side, y * w * side));
+        }
+        assert_eq!(packed.cell_count(), spread.cell_count());
+        assert_eq!((packed.regions.len(), spread.regions.len()), (1, 9));
+        assert!(spread.heap_size() > packed.heap_size());
     }
 }
