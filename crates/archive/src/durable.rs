@@ -25,11 +25,11 @@
 
 use std::path::Path;
 
-use sgs_core::{ArchiveRetention, ReplacementPolicy, WindowId};
+use sgs_core::{ArchiveRetention, WindowId};
 use sgs_summarize::{multires, packed, Sgs};
 
 use crate::io::{ArchiveIo, DiskIo};
-use crate::pager::{self, BufferPool, PagedReader, PoolStats};
+use crate::pager;
 use crate::pattern_base::{PatternBase, PatternId};
 use crate::persist::{self, PersistError};
 use crate::wal::{self, WalRecord};
@@ -44,10 +44,6 @@ pub const WAL_FILE: &str = "base.wal";
 pub struct DurableConfig {
     /// What happens as the archive grows ([`ArchiveRetention`]).
     pub retention: ArchiveRetention,
-    /// Buffer-pool replacement policy for checkpoint reads.
-    pub replacement: ReplacementPolicy,
-    /// Buffer-pool byte budget (bounds the checkpoint-read working set).
-    pub pool_budget_bytes: usize,
     /// Checkpoint once the WAL exceeds this many bytes.
     pub checkpoint_wal_bytes: u64,
     /// Multi-resolution compression rate θ used when retention coarsens
@@ -61,8 +57,6 @@ impl Default for DurableConfig {
     fn default() -> Self {
         DurableConfig {
             retention: ArchiveRetention::Unbounded,
-            replacement: ReplacementPolicy::Sieve,
-            pool_budget_bytes: 4 << 20,
             checkpoint_wal_bytes: 1 << 20,
             theta: 2,
             max_level: 4,
@@ -73,7 +67,6 @@ impl Default for DurableConfig {
 struct Storage {
     io: Box<dyn ArchiveIo>,
     cfg: DurableConfig,
-    pool: BufferPool,
     /// Sequence number the next WAL record will carry.
     next_seq: u64,
     /// Current WAL length in bytes (checkpoint trigger).
@@ -145,14 +138,12 @@ impl DurablePatternBase {
     /// tests use (`FaultFs`).
     pub fn open_with(mut io: Box<dyn ArchiveIo>, cfg: DurableConfig) -> Result<Self, PersistError> {
         assert!(cfg.theta >= 2, "compression rate must be at least 2");
-        let mut pool = BufferPool::new(cfg.replacement, cfg.pool_budget_bytes);
 
         // 1. The last checkpoint, if any.
         let header = pager::read_header(io.as_mut(), STORE_FILE)?;
         let (mut entries, applied_seq) = match header {
             Some(h) => {
-                let reader = PagedReader::new(io.as_mut(), STORE_FILE, &mut pool, h);
-                let base = persist::load_from(reader)?;
+                let base = persist::load_from(pager::payload_reader(io.as_mut(), STORE_FILE, h))?;
                 let entries: Vec<(Sgs, WindowId)> =
                     base.iter().map(|p| (p.sgs.clone(), p.window)).collect();
                 (entries, h.applied_seq)
@@ -199,7 +190,6 @@ impl DurablePatternBase {
             storage: Some(Storage {
                 io,
                 cfg,
-                pool,
                 next_seq,
                 wal_len: replayed.durable_len,
             }),
@@ -209,11 +199,6 @@ impl DurablePatternBase {
     /// Whether this base is backed by storage.
     pub fn is_durable(&self) -> bool {
         self.storage.is_some()
-    }
-
-    /// Buffer-pool counters (durable mode only).
-    pub fn pool_stats(&self) -> Option<PoolStats> {
-        self.storage.as_ref().map(|s| s.pool.stats)
     }
 
     /// Current WAL length in bytes (durable mode only).
@@ -281,7 +266,6 @@ impl DurablePatternBase {
         storage.io.write_file_atomic(STORE_FILE, &image)?;
         storage.io.truncate(WAL_FILE, 0)?;
         storage.wal_len = 0;
-        storage.pool.clear();
         Ok(())
     }
 
@@ -487,6 +471,42 @@ mod tests {
         let want = a.snapshot_bytes();
         let b = DurablePatternBase::open_with(Box::new(fs), cfg).unwrap();
         assert_eq!(b.snapshot_bytes(), want);
+    }
+
+    #[test]
+    fn store_cut_inside_payload_fails_open() {
+        let fs = FaultFs::new();
+        let cfg = DurableConfig::default();
+        let mut a = DurablePatternBase::open_with(Box::new(fs.clone()), cfg.clone()).unwrap();
+        for k in 0..200 {
+            a.try_insert(blob(k as f64 * 9.0, 20 + k as usize % 9), WindowId(k))
+                .unwrap();
+        }
+        a.checkpoint().unwrap();
+        let store = fs.contents(STORE_FILE).unwrap();
+        let payload_end = (pager::PAGE_SIZE + a.snapshot_bytes().len()) as u64;
+        assert!(
+            payload_end > 3 * pager::PAGE_SIZE as u64,
+            "payload spans pages"
+        );
+        drop(a);
+        let page = pager::PAGE_SIZE as u64;
+        let cuts =
+            (page..payload_end)
+                .step_by(997)
+                .chain([page, 2 * page, 2 * page + 1, payload_end - 1]);
+        for cut in cuts {
+            let mut io: Box<dyn ArchiveIo> = Box::new(fs.clone());
+            io.write_file_atomic(STORE_FILE, &store).unwrap();
+            io.truncate(STORE_FILE, cut).unwrap();
+            match DurablePatternBase::open_with(io, cfg.clone()) {
+                Err(PersistError::Io(e)) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "cut at {cut}")
+                }
+                Err(other) => panic!("cut at {cut}: unexpected error {other}"),
+                Ok(base) => panic!("cut at {cut}: opened a base of {} patterns", base.len()),
+            }
+        }
     }
 
     #[test]

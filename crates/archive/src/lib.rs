@@ -31,7 +31,6 @@ use std::sync::Arc;
 pub use archiver::{choose_level, ArchivePolicy, PatternArchiver};
 pub use durable::{DurableConfig, DurablePatternBase};
 pub use io::{ArchiveIo, DiskIo};
-pub use pager::{BufferPool, PoolStats};
 pub use pattern_base::{ArchivedPattern, MatchOutcome, MatchResult, PatternBase, PatternId};
 pub use persist::{load, save, PersistError};
 

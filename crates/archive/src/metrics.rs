@@ -1,8 +1,7 @@
 //! Construction-time metric handles of the archive (`DESIGN.md` §11):
 //! the durable tier's WAL and checkpoints, and the refine tallies of
 //! `PatternBase::match_query`. Process-wide: every base in the process
-//! shares these (per-replacer buffer-pool counters carry a label and
-//! live in [`crate::pager`]).
+//! shares these.
 
 use std::sync::{Arc, OnceLock};
 

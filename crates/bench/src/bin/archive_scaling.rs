@@ -2,11 +2,9 @@
 //! tier costs over the memory-only pattern base, and how fast recovery
 //! replays an archive back into memory.
 //!
-//! For every mode — `memory` (the pre-durability baseline) and `durable`
-//! with each buffer-pool replacement policy — the harness inserts N and
-//! 2N study summaries, then (durable modes) checkpoints and reopens the
-//! directory, timing the recovery replay and reporting the buffer pool's
-//! hit/miss counters for the paged store read.
+//! For both modes — `memory` (the pre-durability baseline) and `durable`
+//! — the harness inserts N and 2N study summaries, then (durable mode)
+//! checkpoints and reopens the directory, timing the recovery replay.
 //!
 //! ```text
 //! cargo run --release -p sgs-bench --bin archive_scaling -- [--scale 0.1] [--json]
@@ -23,7 +21,7 @@ use sgs_bench::json::JsonObject;
 use sgs_bench::obs_report::{metrics_json, parse_metrics};
 use sgs_bench::table::print_table;
 use sgs_bench::workload::parse_scale;
-use sgs_core::{GridGeometry, ReplacementPolicy, WindowId};
+use sgs_core::{GridGeometry, WindowId};
 use sgs_summarize::{MemberSet, Sgs};
 
 struct Row {
@@ -32,8 +30,6 @@ struct Row {
     insert_per_sec: f64,
     checkpoint_ms: f64,
     recover_per_sec: f64,
-    pool_hits: u64,
-    pool_misses: u64,
     archived_bytes: u64,
 }
 
@@ -62,21 +58,17 @@ fn bench_dir(mode: &str) -> PathBuf {
     std::env::temp_dir().join(format!("sgs_bench_archive_{}_{mode}", std::process::id()))
 }
 
-fn run_mode(mode: &'static str, policy: Option<ReplacementPolicy>, summaries: &[Sgs]) -> Row {
-    let cfg = DurableConfig {
-        replacement: policy.unwrap_or_default(),
-        ..DurableConfig::default()
-    };
-    let (mut base, dir) = match policy {
-        None => (DurablePatternBase::memory(), None),
-        Some(_) => {
-            let dir = bench_dir(mode);
-            let _ = std::fs::remove_dir_all(&dir);
-            (
-                DurablePatternBase::open(&dir, cfg.clone()).expect("open archive dir"),
-                Some(dir),
-            )
-        }
+fn run_mode(durable: bool, summaries: &[Sgs]) -> Row {
+    let mode = if durable { "durable" } else { "memory" };
+    let (mut base, dir) = if durable {
+        let dir = bench_dir(mode);
+        let _ = std::fs::remove_dir_all(&dir);
+        (
+            DurablePatternBase::open(&dir, DurableConfig::default()).expect("open archive dir"),
+            Some(dir),
+        )
+    } else {
+        (DurablePatternBase::memory(), None)
     };
 
     let start = Instant::now();
@@ -95,15 +87,15 @@ fn run_mode(mode: &'static str, policy: Option<ReplacementPolicy>, summaries: &[
     let archived_bytes = base.archived_bytes() as u64;
     drop(base);
 
-    let (recover_per_sec, pool_hits, pool_misses) = match &dir {
-        None => (0.0, 0, 0),
+    let recover_per_sec = match &dir {
+        None => 0.0,
         Some(dir) => {
             let start = Instant::now();
-            let recovered = DurablePatternBase::open(dir, cfg).expect("recover archive dir");
+            let recovered = DurablePatternBase::open(dir, DurableConfig::default())
+                .expect("recover archive dir");
             let secs = start.elapsed().as_secs_f64();
             assert_eq!(recovered.len(), summaries.len(), "recovery lost patterns");
-            let stats = recovered.pool_stats().expect("durable pool stats");
-            (summaries.len() as f64 / secs, stats.hits, stats.misses)
+            summaries.len() as f64 / secs
         }
     };
     if let Some(dir) = dir {
@@ -116,8 +108,6 @@ fn run_mode(mode: &'static str, policy: Option<ReplacementPolicy>, summaries: &[
         insert_per_sec: summaries.len() as f64 / insert_secs,
         checkpoint_ms,
         recover_per_sec,
-        pool_hits,
-        pool_misses,
         archived_bytes,
     }
 }
@@ -129,18 +119,11 @@ fn main() {
     let metrics = parse_metrics(&args);
     let n = ((2_000.0 * scale) as usize).max(100);
 
-    let modes: [(&'static str, Option<ReplacementPolicy>); 4] = [
-        ("memory", None),
-        ("durable-sieve", Some(ReplacementPolicy::Sieve)),
-        ("durable-clock", Some(ReplacementPolicy::Clock)),
-        ("durable-lru", Some(ReplacementPolicy::Lru)),
-    ];
     let mut rows = Vec::new();
     for count in [n, 2 * n] {
         let summaries = study_summaries(count);
-        for (mode, policy) in modes {
-            rows.push(run_mode(mode, policy, &summaries));
-        }
+        rows.push(run_mode(false, &summaries));
+        rows.push(run_mode(true, &summaries));
     }
 
     if json {
@@ -153,8 +136,6 @@ fn main() {
                     .f64("insert_per_sec", r.insert_per_sec)
                     .f64("checkpoint_ms", r.checkpoint_ms)
                     .f64("recover_per_sec", r.recover_per_sec)
-                    .u64("pool_hits", r.pool_hits)
-                    .u64("pool_misses", r.pool_misses)
                     .u64("archived_bytes", r.archived_bytes)
             })
             .collect();
@@ -176,7 +157,6 @@ fn main() {
                     format!("{:.0}", r.insert_per_sec),
                     format!("{:.2}", r.checkpoint_ms),
                     format!("{:.0}", r.recover_per_sec),
-                    format!("{}/{}", r.pool_hits, r.pool_misses),
                     r.archived_bytes.to_string(),
                 ]
             })
@@ -189,7 +169,6 @@ fn main() {
                 "inserts/s",
                 "checkpoint ms",
                 "recovered/s",
-                "pool hit/miss",
                 "archived bytes",
             ],
             &table,
