@@ -71,6 +71,9 @@ struct Storage {
     next_seq: u64,
     /// Current WAL length in bytes (checkpoint trigger).
     wal_len: u64,
+    /// The base's [`PatternBase::archived_bytes`], kept current so a
+    /// byte budget is checked without re-summing every pattern.
+    archived_bytes: usize,
 }
 
 /// A pattern base whose mutations survive process crashes.
@@ -141,27 +144,36 @@ impl DurablePatternBase {
 
         // 1. The last checkpoint, if any.
         let header = pager::read_header(io.as_mut(), STORE_FILE)?;
-        let (mut entries, applied_seq) = match header {
-            Some(h) => {
-                let base = persist::load_from(pager::payload_reader(io.as_mut(), STORE_FILE, h))?;
-                let entries: Vec<(Sgs, WindowId)> =
-                    base.iter().map(|p| (p.sgs.clone(), p.window)).collect();
-                (entries, h.applied_seq)
-            }
-            None => (Vec::new(), 0),
+        let (loaded, applied_seq) = match header {
+            Some(h) => (
+                persist::load_from(pager::payload_reader(io.as_mut(), STORE_FILE, h))?,
+                h.applied_seq,
+            ),
+            None => (PatternBase::new(), 0),
         };
 
-        // 2. Replay the WAL tail, discarding torn bytes.
+        // 2. Replay the WAL tail, discarding torn bytes. Records before
+        // `applied_seq` are already in the checkpoint.
         let wal_bytes = io.read_file(WAL_FILE)?.unwrap_or_default();
         let replayed = wal::replay(&wal_bytes);
-        if replayed.durable_len < wal_bytes.len() as u64 {
-            io.truncate(WAL_FILE, replayed.durable_len)?;
+        let wal_len = replayed.durable_len;
+        if wal_len < wal_bytes.len() as u64 {
+            io.truncate(WAL_FILE, wal_len)?;
         }
+        let mut tail = replayed
+            .records
+            .into_iter()
+            .filter(|(seq, _)| *seq >= applied_seq)
+            .peekable();
+        if tail.peek().is_none() {
+            // Nothing to replay: the checkpoint's base is the answer.
+            return Ok(Self::with_storage(loaded, io, cfg, applied_seq, wal_len));
+        }
+        let mut entries: Vec<(Sgs, WindowId)> =
+            loaded.iter().map(|p| (p.sgs.clone(), p.window)).collect();
+        drop(loaded);
         let mut next_seq = applied_seq;
-        for (seq, record) in replayed.records {
-            if seq < applied_seq {
-                continue; // already in the checkpoint
-            }
+        for (seq, record) in tail {
             match record {
                 WalRecord::Insert { window, packed } => {
                     let sgs = packed::decode(packed).ok_or_else(|| {
@@ -184,16 +196,28 @@ impl DurablePatternBase {
             }
             next_seq = seq + 1;
         }
+        let base = build_base(&entries);
+        Ok(Self::with_storage(base, io, cfg, next_seq, wal_len))
+    }
 
-        Ok(DurablePatternBase {
-            base: build_base(&entries),
+    fn with_storage(
+        base: PatternBase,
+        io: Box<dyn ArchiveIo>,
+        cfg: DurableConfig,
+        next_seq: u64,
+        wal_len: u64,
+    ) -> Self {
+        let archived_bytes = base.archived_bytes();
+        DurablePatternBase {
+            base,
             storage: Some(Storage {
                 io,
                 cfg,
                 next_seq,
-                wal_len: replayed.durable_len,
+                wal_len,
+                archived_bytes,
             }),
-        })
+        }
     }
 
     /// Whether this base is backed by storage.
@@ -234,7 +258,11 @@ impl DurablePatternBase {
         storage.next_seq += 1;
         storage.wal_len += frame.len() as u64;
 
+        let bytes = packed::archived_bytes(&canon);
         let id = self.base.insert(canon, window);
+        if id.is_some() {
+            storage.archived_bytes += bytes;
+        }
         self.enforce_retention()?;
         self.maybe_checkpoint()?;
         Ok(id)
@@ -290,6 +318,25 @@ impl DurablePatternBase {
         let theta = storage.cfg.theta;
         let max_level = storage.cfg.max_level;
 
+        // Copy the entries only when some pattern may be demoted: a
+        // pattern below `max_level` while the base is over its byte
+        // budget, or past the window horizon.
+        let due = match storage.cfg.retention {
+            ArchiveRetention::Unbounded => false,
+            ArchiveRetention::ByteBudget(budget) => {
+                storage.archived_bytes > budget && self.base.iter().any(|p| p.sgs.level < max_level)
+            }
+            ArchiveRetention::WindowHorizon(horizon) => {
+                let newest = self.base.iter().map(|p| p.window.0).max().unwrap_or(0);
+                self.base
+                    .iter()
+                    .any(|p| p.sgs.level < max_level && newest.saturating_sub(p.window.0) > horizon)
+            }
+        };
+        if !due {
+            return Ok(());
+        }
+
         // Decide the demotions on a scratch copy of the entries.
         let mut entries: Vec<(Sgs, WindowId)> = self
             .base
@@ -300,7 +347,7 @@ impl DurablePatternBase {
         match storage.cfg.retention {
             ArchiveRetention::Unbounded => {}
             ArchiveRetention::ByteBudget(budget) => {
-                let mut total: usize = entries.iter().map(|(s, _)| packed::archived_bytes(s)).sum();
+                let mut total = storage.archived_bytes;
                 // Oldest-first passes; each pass demotes each pattern at
                 // most one level, so resolution degrades evenly from the
                 // old end instead of one pattern collapsing to dust.
@@ -363,6 +410,7 @@ impl DurablePatternBase {
         m.coarsenings.add(demoted.len() as u64);
         storage.wal_len += batch.len() as u64;
         self.base = build_base(&entries);
+        storage.archived_bytes = self.base.archived_bytes();
         Ok(())
     }
 

@@ -92,9 +92,9 @@ impl ScalarGrid {
             lo[i] = c - reach;
             hi[i] = c + reach;
         }
-        let mut cell = CellCoord::new(lo.clone());
+        let mut cell = lo.clone();
         loop {
-            if let Some(bucket) = self.cells.get(&cell) {
+            if let Some(bucket) = self.cells.get(cell.as_slice()) {
                 for e in bucket {
                     if e.id != exclude && dist_sq(coords, &e.coords) <= theta_sq {
                         out.push(e.id);
@@ -106,11 +106,11 @@ impl ScalarGrid {
                 if i == d {
                     return;
                 }
-                cell.0[i] += 1;
-                if cell.0[i] <= hi[i] {
+                cell[i] += 1;
+                if cell[i] <= hi[i] {
                     break;
                 }
-                cell.0[i] = lo[i];
+                cell[i] = lo[i];
                 i += 1;
             }
         }

@@ -14,6 +14,11 @@
 //! cargo run --release -p sgs-bench --bin shard_scaling -- [--scale 0.1] [--dataset gmti|stt] [--json]
 //! ```
 //!
+//! Each row also reports the process CPU time per window
+//! (`cpu_ms_per_window`, all threads, from `/proc/self/stat`): on a
+//! machine with fewer cores than shards, extra shards can cost CPU
+//! without buying wall-clock rate.
+//!
 //! `--json` prints one machine-readable report object to stdout instead
 //! of the table (CI uploads it as `BENCH_shard_scaling.json`, and the
 //! GMTI run as `BENCH_shard_scaling_gmti.json`). Expect
@@ -22,6 +27,7 @@
 
 use std::time::Instant;
 
+use sgs_bench::harness::process_cpu_secs;
 use sgs_bench::json::JsonObject;
 use sgs_bench::obs_report::{metrics_json, parse_metrics};
 use sgs_bench::table::print_table;
@@ -34,6 +40,8 @@ struct Row {
     shards: u32,
     tuples_per_sec: f64,
     speedup: f64,
+    /// Process CPU per emitted window; NaN where `/proc` is unavailable.
+    cpu_ms_per_window: f64,
     windows: u64,
     clusters: u64,
 }
@@ -63,11 +71,16 @@ fn main() {
         let mut csgs = CSgs::new(query);
         let mut engine = WindowEngine::new(spec, dataset.dim());
         let mut outs = Vec::new();
+        let cpu_start = process_cpu_secs();
         let start = Instant::now();
         engine
             .push_batch(points.iter().cloned(), &mut csgs, &mut outs)
             .expect("ingest succeeds");
         let secs = start.elapsed().as_secs_f64();
+        let cpu_secs = match (cpu_start, process_cpu_secs()) {
+            (Some(a), Some(b)) => b - a,
+            _ => f64::NAN,
+        };
         assert_eq!(csgs.rqs_count, n as u64, "one RQS per object");
 
         let windows = outs.len() as u64;
@@ -83,6 +96,7 @@ fn main() {
             shards: s,
             tuples_per_sec: rate,
             speedup,
+            cpu_ms_per_window: cpu_secs * 1e3 / windows.max(1) as f64,
             windows,
             clusters,
         });
@@ -102,6 +116,7 @@ fn main() {
                     .u64("shards", r.shards as u64)
                     .f64("tuples_per_sec", r.tuples_per_sec)
                     .f64("speedup", r.speedup)
+                    .f64("cpu_ms_per_window", r.cpu_ms_per_window)
                     .u64("windows", r.windows)
                     .u64("clusters", r.clusters)
             })
@@ -132,6 +147,7 @@ fn main() {
                     r.shards.to_string(),
                     format!("{:.0}", r.tuples_per_sec),
                     format!("{:.2}x", r.speedup),
+                    format!("{:.2}", r.cpu_ms_per_window),
                     r.windows.to_string(),
                     r.clusters.to_string(),
                 ]
@@ -142,7 +158,14 @@ fn main() {
                 "sharded extraction scaling — {n} tuples of {stream_name}, \
                  win {win} / slide {slide}, θr={theta_r}, θc={theta_c}"
             ),
-            &["shards", "tuples/s", "speedup", "windows", "clusters"],
+            &[
+                "shards",
+                "tuples/s",
+                "speedup",
+                "cpu ms/window",
+                "windows",
+                "clusters",
+            ],
             &table,
         );
     }

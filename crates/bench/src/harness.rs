@@ -10,6 +10,18 @@ use sgs_index::FxHashMap;
 use sgs_stream::WindowEngine;
 use sgs_summarize::{packed, Crd, MemberSet, Rsp, Sgs, SkPs};
 
+/// CPU time (user + system, all threads) this process has used so far,
+/// in seconds, from `/proc/self/stat` (10 ms resolution: `USER_HZ` is
+/// 100). `None` where that file is missing or unreadable.
+pub fn process_cpu_secs() -> Option<f64> {
+    let text = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // utime and stime are fields 14 and 15 of the line, counted from
+    // after the parenthesised command name as 11 and 12.
+    let fields: Vec<&str> = text.rsplit_once(')')?.1.split_whitespace().collect();
+    let ticks = |i: usize| fields.get(i)?.parse::<f64>().ok();
+    Some((ticks(11)? + ticks(12)?) / 100.0)
+}
+
 /// Which summarization (if any) to bolt onto Extra-N — the "two-phase"
 /// alternatives of §8.1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

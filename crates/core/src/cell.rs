@@ -13,36 +13,68 @@
 //! [`GridGeometry`] maps points to integer cell coordinates and enumerates
 //! the bounded set of cells a range-query search must visit.
 
+use core::borrow::Borrow;
+use core::cmp::Ordering;
+use core::hash::{Hash, Hasher};
+use core::ops::Deref;
+
 use crate::memsize::HeapSize;
 use crate::point::Point;
+
+/// Dimensions up to which a [`CellCoord`] is stored inline.
+const MAX_INLINE: usize = 4;
 
 /// Integer coordinates of a grid cell (one `i32` per dimension).
 ///
 /// The cell with coordinate `c` on a dimension covers the half-open interval
 /// `[c * side, (c + 1) * side)`.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct CellCoord(pub Box<[i32]>);
+///
+/// Up to four dimensions (both paper datasets) are stored inline, so
+/// building or cloning a key never allocates; wider coordinates fall back
+/// to a boxed slice. Either way the key dereferences to, compares, orders
+/// and hashes exactly as its `[i32]` slice, so maps keyed by `CellCoord`
+/// can be probed with a plain `&[i32]`.
+#[derive(Clone)]
+#[cfg_attr(
+    feature = "serde",
+    derive(serde::Serialize, serde::Deserialize),
+    serde(from = "Vec<i32>", into = "Vec<i32>")
+)]
+pub struct CellCoord(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline(u8, [i32; MAX_INLINE]),
+    Boxed(Box<[i32]>),
+}
 
 impl CellCoord {
     /// Build from a slice of per-dimension indices.
-    pub fn new(coords: impl Into<Box<[i32]>>) -> Self {
-        CellCoord(coords.into())
+    pub fn new(coords: impl AsRef<[i32]>) -> Self {
+        coords.as_ref().iter().copied().collect()
+    }
+
+    /// The per-dimension indices.
+    #[inline]
+    pub fn as_slice(&self) -> &[i32] {
+        match &self.0 {
+            Repr::Inline(d, inline) => &inline[..*d as usize],
+            Repr::Boxed(coords) => coords,
+        }
     }
 
     /// Dimensionality.
     #[inline]
     pub fn dim(&self) -> usize {
-        self.0.len()
+        self.len()
     }
 
     /// Chebyshev (max-norm) distance to another cell coordinate — two cells
     /// are *adjacent* iff this is exactly 1, identical iff 0.
     pub fn chebyshev(&self, other: &CellCoord) -> u32 {
         debug_assert_eq!(self.dim(), other.dim());
-        self.0
-            .iter()
-            .zip(other.0.iter())
+        self.iter()
+            .zip(other.iter())
             .map(|(a, b)| a.abs_diff(*b))
             .max()
             .unwrap_or(0)
@@ -55,10 +87,94 @@ impl CellCoord {
     }
 }
 
+impl FromIterator<i32> for CellCoord {
+    fn from_iter<I: IntoIterator<Item = i32>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        let mut inline = [0; MAX_INLINE];
+        for (d, slot) in inline.iter_mut().enumerate() {
+            match iter.next() {
+                Some(c) => *slot = c,
+                None => return CellCoord(Repr::Inline(d as u8, inline)),
+            }
+        }
+        match iter.next() {
+            None => CellCoord(Repr::Inline(MAX_INLINE as u8, inline)),
+            Some(c) => {
+                let mut coords = inline.to_vec();
+                coords.push(c);
+                coords.extend(iter);
+                CellCoord(Repr::Boxed(coords.into()))
+            }
+        }
+    }
+}
+
+impl From<Vec<i32>> for CellCoord {
+    fn from(coords: Vec<i32>) -> Self {
+        if coords.len() <= MAX_INLINE {
+            CellCoord::new(coords)
+        } else {
+            CellCoord(Repr::Boxed(coords.into()))
+        }
+    }
+}
+
+impl From<CellCoord> for Vec<i32> {
+    fn from(cell: CellCoord) -> Self {
+        cell.as_slice().to_vec()
+    }
+}
+
+impl Deref for CellCoord {
+    type Target = [i32];
+
+    #[inline]
+    fn deref(&self) -> &[i32] {
+        self.as_slice()
+    }
+}
+
+impl Borrow<[i32]> for CellCoord {
+    #[inline]
+    fn borrow(&self) -> &[i32] {
+        self.as_slice()
+    }
+}
+
+impl PartialEq for CellCoord {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for CellCoord {}
+
+impl PartialOrd for CellCoord {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for CellCoord {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_slice().cmp(other.as_slice())
+    }
+}
+
+impl Hash for CellCoord {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
 impl core::fmt::Debug for CellCoord {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "⟨")?;
-        for (i, c) in self.0.iter().enumerate() {
+        for (i, c) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ",")?;
             }
@@ -70,7 +186,10 @@ impl core::fmt::Debug for CellCoord {
 
 impl HeapSize for CellCoord {
     fn heap_size(&self) -> usize {
-        self.0.len() * core::mem::size_of::<i32>()
+        match &self.0 {
+            Repr::Inline(..) => 0,
+            Repr::Boxed(coords) => coords.heap_size(),
+        }
     }
 }
 
@@ -163,26 +282,21 @@ impl GridGeometry {
     /// Map a point to the coordinates of the cell containing it.
     pub fn cell_of(&self, p: &Point) -> CellCoord {
         debug_assert_eq!(p.dim(), self.dim, "point dimensionality mismatch");
-        CellCoord(
-            p.coords
-                .iter()
-                .map(|&x| (x / self.side).floor() as i32)
-                .collect(),
-        )
+        p.coords
+            .iter()
+            .map(|&x| (x / self.side).floor() as i32)
+            .collect()
     }
 
     /// The minimum corner (location vector of Def. 4.4) of a cell.
     pub fn min_corner(&self, cell: &CellCoord) -> Vec<f64> {
-        cell.0.iter().map(|&c| c as f64 * self.side).collect()
+        cell.iter().map(|&c| c as f64 * self.side).collect()
     }
 
     /// The center of a cell, used as the representative position for
     /// alignment seeding in the matcher.
     pub fn center(&self, cell: &CellCoord) -> Vec<f64> {
-        cell.0
-            .iter()
-            .map(|&c| (c as f64 + 0.5) * self.side)
-            .collect()
+        cell.iter().map(|&c| (c as f64 + 0.5) * self.side).collect()
     }
 
     /// Enumerate the coordinates of every cell that a ball of radius θr
@@ -193,13 +307,7 @@ impl GridGeometry {
         let mut out = Vec::new();
         let mut offset = vec![-self.reach; self.dim];
         loop {
-            out.push(CellCoord(
-                cell.0
-                    .iter()
-                    .zip(offset.iter())
-                    .map(|(c, o)| c + o)
-                    .collect(),
-            ));
+            out.push(cell.iter().zip(offset.iter()).map(|(c, o)| c + o).collect());
             // odometer increment over the offset vector
             let mut i = 0;
             loop {
@@ -224,13 +332,7 @@ impl GridGeometry {
         let mut offset = vec![-1i32; self.dim];
         loop {
             if offset.iter().any(|&o| o != 0) {
-                out.push(CellCoord(
-                    cell.0
-                        .iter()
-                        .zip(offset.iter())
-                        .map(|(c, o)| c + o)
-                        .collect(),
-                ));
+                out.push(cell.iter().zip(offset.iter()).map(|(c, o)| c + o).collect());
             }
             let mut i = 0;
             loop {
@@ -257,7 +359,7 @@ impl GridGeometry {
         // Mixed-radix encoding of the offset vector in base 3 (offset+1 per
         // digit), skipping the all-zero combination.
         let mut code = 0usize;
-        for (c, o) in cell.0.iter().zip(other.0.iter()) {
+        for (c, o) in cell.iter().zip(other.iter()) {
             let d = o - c;
             debug_assert!((-1..=1).contains(&d));
             code = code * 3 + (d + 1) as usize;
@@ -276,7 +378,7 @@ impl GridGeometry {
     /// `b` — used to prune cell pairs that can never host a neighbor pair.
     pub fn min_cell_dist(&self, a: &CellCoord, b: &CellCoord) -> f64 {
         let mut acc = 0.0;
-        for (ca, cb) in a.0.iter().zip(b.0.iter()) {
+        for (ca, cb) in a.iter().zip(b.iter()) {
             let gap = (ca.abs_diff(*cb) as f64 - 1.0).max(0.0) * self.side;
             acc += gap * gap;
         }

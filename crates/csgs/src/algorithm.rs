@@ -47,7 +47,7 @@ use sgs_index::grid::CellSlab;
 use sgs_index::{ReachBlock, ShardRouter};
 use sgs_stream::{ExpiryHistogram, WindowConsumer};
 
-use crate::cell_store::CellStore;
+use crate::cell_store::{fold_by_cell, CellStore, PairRaise};
 use crate::merge;
 use crate::output::WindowOutput;
 use crate::shard::{
@@ -303,48 +303,43 @@ impl CSgs {
             let new_cu = q.hist.core_until(q.expires_at, now, theta_c).0;
             if new_cu > q.core_until {
                 q.core_until = new_cu;
-                let q_cell = q.cell.clone();
-                cell_stores[owner as usize].raise_core_until(&q_cell, new_cu);
+                cell_stores[owner as usize].raise_core_until(&q.cell, new_cu);
                 extended.push((q_id, owner));
             }
         }
 
-        // 5. Pair links for (p, q) pairs, both sides routed.
-        for &(q_id, owner) in &neighbors {
+        // 5. Pair links for (p, q) pairs, both sides routed; intra-cell
+        // pairs carry no link (Lemma 4.1).
+        let shards = &*shards;
+        let pairs = neighbors.iter().filter_map(|&(q_id, owner)| {
             let q = &shards[owner as usize].points[&q_id];
-            if q.cell == center {
-                continue; // intra-cell pairs: Lemma 4.1
-            }
-            let cc = p_cu.min(q.core_until);
-            let q_attach = q.core_until.min(expires_at.0);
-            let p_attach = p_cu.min(q.expires_at.0);
-            let q_cell = q.cell.clone();
-            cell_stores[home].raise_link(&center, &q_cell, cc, p_attach);
-            cell_stores[owner as usize].raise_link(&q_cell, &center, cc, q_attach);
-        }
+            let raise = PairRaise::new(p_cu, expires_at.0, q.core_until, q.expires_at.0);
+            (q.cell != center).then_some((&q.cell, owner as usize, raise))
+        });
+        fold_by_cell(pairs, |q_cell, owner, raise| {
+            cell_stores[home].raise_link(&center, q_cell, raise.core_core, raise.attach_out);
+            cell_stores[owner].raise_link(q_cell, &center, raise.core_core, raise.attach_in);
+        });
 
         // 6. Connection prolong: extended careers touch all their pairs.
         for (q_id, owner) in extended {
-            let (q_cell, q_cu, q_exp, q_nbrs) = {
-                let q = &shards[owner as usize].points[&q_id];
-                (
-                    q.cell.clone(),
-                    q.core_until,
-                    q.expires_at.0,
-                    q.neighbors.clone(),
-                )
-            };
-            for r_id in q_nbrs {
+            let q = &shards[owner as usize].points[&q_id];
+            for &r_id in &q.neighbors {
                 let Some((r_owner, r)) = resolve(shards, r_id) else {
                     continue; // pruned-late id of an expired point
                 };
-                if r.cell == q_cell {
+                if r.cell == q.cell {
                     continue;
                 }
-                let (r_cell, r_cu, r_exp) = (r.cell.clone(), r.core_until, r.expires_at.0);
-                let cc = q_cu.min(r_cu);
-                cell_stores[owner as usize].raise_link(&q_cell, &r_cell, cc, q_cu.min(r_exp));
-                cell_stores[r_owner].raise_link(&r_cell, &q_cell, cc, r_cu.min(q_exp));
+                let raise =
+                    PairRaise::new(q.core_until, q.expires_at.0, r.core_until, r.expires_at.0);
+                cell_stores[owner as usize].raise_link(
+                    &q.cell,
+                    &r.cell,
+                    raise.core_core,
+                    raise.attach_out,
+                );
+                cell_stores[r_owner].raise_link(&r.cell, &q.cell, raise.core_core, raise.attach_in);
             }
         }
     }
@@ -497,33 +492,33 @@ impl CSgs {
                     out.resize_with(s, Vec::new);
                     for plan in &apply[i].plans {
                         let p = &shards[i].points[&plan.id];
-                        for &(q_id, owner) in &plan.neighbors {
+                        // Intra-cell pairs carry no link (Lemma 4.1).
+                        let pairs = plan.neighbors.iter().filter_map(|&(q_id, owner)| {
                             let q = shards[owner as usize]
                                 .points
                                 .get(&q_id)
                                 .expect("batch neighbors are live");
-                            if q.cell == p.cell {
-                                continue; // intra-cell pairs: Lemma 4.1
-                            }
-                            let cc = p.core_until.min(q.core_until);
-                            cells.raise_link(
-                                &p.cell,
-                                &q.cell,
-                                cc,
-                                p.core_until.min(q.expires_at.0),
+                            let raise = PairRaise::new(
+                                p.core_until,
+                                p.expires_at.0,
+                                q.core_until,
+                                q.expires_at.0,
                             );
-                            let q_attach = q.core_until.min(p.expires_at.0);
-                            if owner as usize == i {
-                                cells.raise_link(&q.cell, &p.cell, cc, q_attach);
+                            (q.cell != p.cell).then_some((&q.cell, owner as usize, raise))
+                        });
+                        fold_by_cell(pairs, |q_cell, owner, raise| {
+                            cells.raise_link(&p.cell, q_cell, raise.core_core, raise.attach_out);
+                            if owner == i {
+                                cells.raise_link(q_cell, &p.cell, raise.core_core, raise.attach_in);
                             } else {
-                                out[owner as usize].push(LinkMsg {
-                                    at: q.cell.clone(),
+                                out[owner].push(LinkMsg {
+                                    at: q_cell.clone(),
                                     other: p.cell.clone(),
-                                    core_core: cc,
-                                    attach: q_attach,
+                                    core_core: raise.core_core,
+                                    attach: raise.attach_in,
                                 });
                             }
-                        }
+                        });
                     }
                     for q_id in &apply[i].extended {
                         let q = &shards[i].points[q_id];
@@ -534,22 +529,26 @@ impl CSgs {
                             if r.cell == q.cell {
                                 continue;
                             }
-                            let cc = q.core_until.min(r.core_until);
-                            cells.raise_link(
-                                &q.cell,
-                                &r.cell,
-                                cc,
-                                q.core_until.min(r.expires_at.0),
+                            let raise = PairRaise::new(
+                                q.core_until,
+                                q.expires_at.0,
+                                r.core_until,
+                                r.expires_at.0,
                             );
-                            let r_attach = r.core_until.min(q.expires_at.0);
+                            cells.raise_link(&q.cell, &r.cell, raise.core_core, raise.attach_out);
                             if r_owner == i {
-                                cells.raise_link(&r.cell, &q.cell, cc, r_attach);
+                                cells.raise_link(
+                                    &r.cell,
+                                    &q.cell,
+                                    raise.core_core,
+                                    raise.attach_in,
+                                );
                             } else {
                                 out[r_owner].push(LinkMsg {
                                     at: r.cell.clone(),
                                     other: q.cell.clone(),
-                                    core_core: cc,
-                                    attach: r_attach,
+                                    core_core: raise.core_core,
+                                    attach: raise.attach_in,
                                 });
                             }
                         }

@@ -7,7 +7,7 @@
 //! window `w` iff `w < watermark`. Nothing is updated on expiration —
 //! that is the heart of C-SGS.
 
-use sgs_core::{CellCoord, WindowId};
+use sgs_core::{CellCoord, HeapSize, WindowId};
 use sgs_index::FxHashMap;
 
 /// Watermarks for the relation between two cells (stored on each side).
@@ -33,6 +33,70 @@ impl Link {
     #[inline]
     pub fn raise_attach(&mut self, until: u64) {
         self.attach_until = self.attach_until.max(until);
+    }
+}
+
+/// The link watermarks one neighbor pair `(a ∈ pa, b ∈ pb)` raises, for
+/// the pair's core careers and lifespans (see
+/// [`CellStore::update_pair`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct PairRaise {
+    /// Core-core watermark, raised on both sides.
+    pub core_core: u64,
+    /// Attachment pa→pb, raised at `pa`.
+    pub attach_out: u64,
+    /// Attachment pb→pa, raised at `pb`.
+    pub attach_in: u64,
+}
+
+impl PairRaise {
+    /// The raises of a pair: core-core while both are core, each
+    /// attachment while its own side is core and the other alive.
+    pub(crate) fn new(
+        a_core_until: u64,
+        a_expires: u64,
+        b_core_until: u64,
+        b_expires: u64,
+    ) -> Self {
+        PairRaise {
+            core_core: a_core_until.min(b_core_until),
+            attach_out: a_core_until.min(b_expires),
+            attach_in: b_core_until.min(a_expires),
+        }
+    }
+
+    fn merge(&mut self, other: PairRaise) {
+        self.core_core = self.core_core.max(other.core_core);
+        self.attach_out = self.attach_out.max(other.attach_out);
+        self.attach_in = self.attach_in.max(other.attach_in);
+    }
+}
+
+/// Fold one point's pair raises by neighbor cell: each run of
+/// consecutive raises toward the same cell becomes one `apply(cell,
+/// tag, raise)` carrying the runs' maxima. Range queries yield
+/// neighbors cell by cell, so each side's link is then looked up once
+/// per neighbor cell instead of once per neighbor. Raises are
+/// max-updates, so the watermarks end up exactly as if every pair had
+/// been raised on its own. `tag` rides along unchanged (it must be a
+/// function of the cell, such as its owning shard).
+pub(crate) fn fold_by_cell<'a, T: Copy>(
+    raises: impl IntoIterator<Item = (&'a CellCoord, T, PairRaise)>,
+    mut apply: impl FnMut(&'a CellCoord, T, PairRaise),
+) {
+    let mut run: Option<(&'a CellCoord, T, PairRaise)> = None;
+    for (cell, tag, raise) in raises {
+        match &mut run {
+            Some((at, _, acc)) if *at == cell => acc.merge(raise),
+            _ => {
+                if let Some((at, tag, acc)) = run.replace((cell, tag, raise)) {
+                    apply(at, tag, acc);
+                }
+            }
+        }
+    }
+    if let Some((at, tag, acc)) = run {
+        apply(at, tag, acc);
     }
 }
 
@@ -121,10 +185,14 @@ impl CellStore {
         b_core_until: u64,
         b_expires: u64,
     ) {
-        debug_assert_ne!(pa, pb, "intra-cell pairs carry no link");
-        let cc = a_core_until.min(b_core_until);
-        self.raise_link(pa, pb, cc, a_core_until.min(b_expires));
-        self.raise_link(pb, pa, cc, b_core_until.min(a_expires));
+        let raise = PairRaise::new(a_core_until, a_expires, b_core_until, b_expires);
+        self.raise_pair(pa, pb, raise);
+    }
+
+    /// Raise both sides of the link between `pa` and `pb`.
+    pub(crate) fn raise_pair(&mut self, pa: &CellCoord, pb: &CellCoord, raise: PairRaise) {
+        self.raise_link(pa, pb, raise.core_core, raise.attach_out);
+        self.raise_link(pb, pa, raise.core_core, raise.attach_in);
     }
 
     /// Raise one *side* of a pair link: the watermarks stored at `at` for
@@ -135,15 +203,6 @@ impl CellStore {
     /// are exactly one [`update_pair`](Self::update_pair).
     pub fn raise_link(&mut self, at: &CellCoord, other: &CellCoord, core_core: u64, attach: u64) {
         debug_assert_ne!(at, other, "intra-cell pairs carry no link");
-        // Fast path: both the cell and the link already exist (the common
-        // case for established pairs) — no key clones.
-        if let Some(cell) = self.cells.get_mut(at) {
-            if let Some(link) = cell.links.get_mut(other) {
-                link.raise_core_core(core_core);
-                link.raise_attach(attach);
-                return;
-            }
-        }
         let link = self.entry(at).links.entry(other.clone()).or_default();
         link.raise_core_core(core_core);
         link.raise_attach(attach);
@@ -199,9 +258,9 @@ impl CellStore {
         let mut bytes =
             self.cells.capacity() * (core::mem::size_of::<(CellCoord, CellState)>() + 1);
         for (coord, cell) in &self.cells {
-            bytes += coord.0.len() * 4;
+            bytes += coord.heap_size();
             bytes += cell.links.capacity() * (core::mem::size_of::<(CellCoord, Link)>() + 1);
-            bytes += cell.links.keys().map(|c| c.0.len() * 4).sum::<usize>();
+            bytes += cell.links.keys().map(HeapSize::heap_size).sum::<usize>();
         }
         bytes
     }

@@ -241,16 +241,16 @@ pub(crate) fn emit(
     // derive each cluster's SGS.
     let mut out = Vec::with_capacity(n_groups);
     for g in 0..n_groups {
-        let mut cells: Vec<(CellCoord, CellStatus)> = partials
+        let mut cells: Vec<(&CellCoord, CellStatus)> = partials
             .iter()
-            .flat_map(|p| p.cells[g].iter().map(|(c, st)| ((*c).clone(), *st)))
+            .flat_map(|p| p.cells[g].iter().copied())
             .collect();
-        cells.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        cells.sort_unstable_by(|a, b| a.0.cmp(b.0));
         cells.dedup_by(|a, b| a.0 == b.0);
         let local: FxHashMap<&CellCoord, u32> = cells
             .iter()
             .enumerate()
-            .map(|(i, (c, _))| (c, i as u32))
+            .map(|(i, (c, _))| (*c, i as u32))
             .collect();
         let skeletal: Vec<SkeletalCell> = cells
             .iter()
@@ -281,7 +281,7 @@ pub(crate) fn emit(
                     Vec::new()
                 };
                 SkeletalCell {
-                    coord: coord.clone(),
+                    coord: (*coord).clone(),
                     population: state.population,
                     status: *status,
                     connections,

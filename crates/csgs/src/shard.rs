@@ -25,7 +25,7 @@ use sgs_exec::Pool;
 use sgs_index::{FxHashMap, GridIndex};
 use sgs_stream::ExpiryHistogram;
 
-use crate::cell_store::CellStore;
+use crate::cell_store::{fold_by_cell, CellStore, PairRaise};
 
 /// Slab of point coordinates for one shard: `dim` consecutive `f64`s per
 /// slot, recycled through a free list. Replaces the former per-point
@@ -178,7 +178,7 @@ impl Shard {
         let pts: usize = self
             .points
             .values()
-            .map(|p| p.cell.0.len() * 4 + p.neighbors.capacity() * 4 + p.hist.heap_bytes())
+            .map(|p| p.cell.heap_size() + p.neighbors.capacity() * 4 + p.hist.heap_bytes())
             .sum();
         pts + self.arena.heap_bytes() + HeapSize::heap_size(&self.index)
     }
@@ -375,26 +375,31 @@ impl Shard {
             }
         }
 
-        // 5. Store the point, then raise pair links for (p, q) pairs.
+        // 5. Raise pair links for (p, q) pairs, then store the point.
+        // Intra-cell pairs are connected by Lemma 4.1 and carry no link.
+        let pairs = neighbors_found
+            .iter()
+            .filter(|(_, q_cell, _)| *q_cell != cell)
+            .map(|(q_id, q_cell, _)| {
+                let q = &self.points[q_id];
+                let raise =
+                    PairRaise::new(p_core_until, expires_at.0, q.core_until, q.expires_at.0);
+                (q_cell, (), raise)
+            });
+        fold_by_cell(pairs, |q_cell, (), raise| {
+            cells.raise_pair(&cell, q_cell, raise)
+        });
         self.points.insert(
             id,
             PointState {
                 slot,
-                cell: cell.clone(),
+                cell,
                 expires_at,
                 core_until: p_core_until,
                 hist,
                 neighbors: neighbor_ids,
             },
         );
-        for (q_id, q_cell, _) in &neighbors_found {
-            if *q_cell == cell {
-                continue; // intra-cell pairs are connected by Lemma 4.1
-            }
-            let q = &self.points[q_id];
-            let (q_cu, q_exp) = (q.core_until, q.expires_at.0);
-            cells.update_pair(&cell, q_cell, p_core_until, expires_at.0, q_cu, q_exp);
-        }
 
         // 6. Connection prolong: extended careers touch all their pairs.
         for q_id in extended {
@@ -405,23 +410,15 @@ impl Shard {
 
     /// Re-evaluate all cell-pair links of `q` after its core career
     /// extended (the connection-prolong path; sequential only).
-    fn propagate_extension(&mut self, cells: &mut CellStore, q_id: PointId) {
-        let (q_cell, q_cu, q_exp, q_neighbors) = {
-            let q = &self.points[&q_id];
-            (
-                q.cell.clone(),
-                q.core_until,
-                q.expires_at.0,
-                q.neighbors.clone(),
-            )
-        };
-        for r_id in q_neighbors {
-            let Some(r) = self.points.get(&r_id) else {
+    fn propagate_extension(&self, cells: &mut CellStore, q_id: PointId) {
+        let q = &self.points[&q_id];
+        for r_id in &q.neighbors {
+            let Some(r) = self.points.get(r_id) else {
                 continue; // expired; lists are pruned at the next slide
             };
-            if r.cell != q_cell {
-                let (r_cell, r_cu, r_exp) = (r.cell.clone(), r.core_until, r.expires_at.0);
-                cells.update_pair(&q_cell, &r_cell, q_cu, q_exp, r_cu, r_exp);
+            if r.cell != q.cell {
+                let (q_exp, r_exp) = (q.expires_at.0, r.expires_at.0);
+                cells.update_pair(&q.cell, &r.cell, q.core_until, q_exp, r.core_until, r_exp);
             }
         }
     }

@@ -18,9 +18,6 @@
 //! distance pruning of an RQS feeds whole cells into the batched
 //! [`sgs_core::kernel`] with zero pointer chasing (`DESIGN.md` §13).
 
-use std::borrow::Borrow;
-use std::hash::{Hash, Hasher};
-
 use sgs_core::{kernel, CellCoord, GridGeometry, HeapSize, Point, PointId, WindowId};
 
 use crate::fx::FxHashMap;
@@ -148,7 +145,7 @@ pub struct GridIndex {
     /// region: the cell's coordinates, then its slot in `slabs` (as
     /// `i32`). Records are sorted by coordinates. Regions without
     /// occupied cells have no entry.
-    regions: FxHashMap<RegionKey, Vec<i32>>,
+    regions: FxHashMap<CellCoord, Vec<i32>>,
     /// The slab arena. A freed slot holds an empty, unallocated slab.
     slabs: Vec<CellSlab>,
     /// Freed slots, reused before the arena grows.
@@ -222,7 +219,7 @@ impl GridIndex {
         coords: &[f64],
         expires_at: WindowId,
     ) {
-        let key = &cell.0[..];
+        let key = cell.as_slice();
         let list = self.regions.entry(self.region_of(key)).or_default();
         let at = record_index(list, key);
         let slot = match find_record(list, key, at) {
@@ -245,7 +242,7 @@ impl GridIndex {
     /// Remove a point from the cell it was inserted into. Returns `true`
     /// if it was present.
     pub fn remove(&mut self, id: PointId, cell: &CellCoord) -> bool {
-        let key = &cell.0[..];
+        let key = cell.as_slice();
         let region = self.region_of(key);
         let Some(list) = self.regions.get_mut(&region) else {
             return false;
@@ -275,15 +272,15 @@ impl GridIndex {
     }
 
     /// The region coordinate of a cell (floor division per dimension).
-    fn region_of(&self, cell: &[i32]) -> RegionKey {
+    fn region_of(&self, cell: &[i32]) -> CellCoord {
         let w = self.geometry.region_width();
-        RegionKey::new(cell.iter().map(|c| c.div_euclid(w)))
+        cell.iter().map(|c| c.div_euclid(w)).collect()
     }
 
     /// The live points currently bucketed in `cell` (an empty slab when
     /// the cell has none).
     pub fn cell_points(&self, cell: &CellCoord) -> &CellSlab {
-        let key = &cell.0[..];
+        let key = cell.as_slice();
         self.regions
             .get(&self.region_of(key))
             .and_then(|list| find_record(list, key, record_index(list, key)))
@@ -432,62 +429,6 @@ impl GridIndex {
     }
 }
 
-/// Dimensions up to which a region coordinate is stored inline.
-const INLINE_DIMS: usize = 4;
-
-/// A region coordinate, the key of the region lists. Up to
-/// [`INLINE_DIMS`] dimensions (both paper datasets) it is stored inline,
-/// so neither a listed region nor an insert's lookup allocates. It
-/// hashes and compares as the `[i32]` it holds, so a range query probes
-/// the lists with a plain slice.
-#[derive(Clone, Debug)]
-enum RegionKey {
-    Inline(u8, [i32; INLINE_DIMS]),
-    Boxed(Box<[i32]>),
-}
-
-impl RegionKey {
-    fn new(coords: impl ExactSizeIterator<Item = i32>) -> Self {
-        let d = coords.len();
-        if d <= INLINE_DIMS {
-            let mut inline = [0; INLINE_DIMS];
-            for (slot, c) in inline.iter_mut().zip(coords) {
-                *slot = c;
-            }
-            RegionKey::Inline(d as u8, inline)
-        } else {
-            RegionKey::Boxed(coords.collect())
-        }
-    }
-
-    fn coords(&self) -> &[i32] {
-        match self {
-            RegionKey::Inline(d, inline) => &inline[..*d as usize],
-            RegionKey::Boxed(coords) => coords,
-        }
-    }
-}
-
-impl Borrow<[i32]> for RegionKey {
-    fn borrow(&self) -> &[i32] {
-        self.coords()
-    }
-}
-
-impl PartialEq for RegionKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.coords() == other.coords()
-    }
-}
-
-impl Eq for RegionKey {}
-
-impl Hash for RegionKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.coords().hash(state);
-    }
-}
-
 /// The first index in `0..n` where `below` turns false (`below` holds
 /// on a prefix of the range).
 fn partition_point(n: usize, mut below: impl FnMut(usize) -> bool) -> usize {
@@ -522,14 +463,11 @@ fn find_record(list: &[i32], key: &[i32], at: usize) -> Option<u32> {
 impl HeapSize for GridIndex {
     fn heap_size(&self) -> usize {
         use core::mem::size_of;
-        let mut bytes = self.regions.capacity() * (size_of::<(RegionKey, Vec<i32>)>() + 1)
+        let mut bytes = self.regions.capacity() * (size_of::<(CellCoord, Vec<i32>)>() + 1)
             + self.slabs.capacity() * size_of::<CellSlab>()
             + self.free.capacity() * size_of::<u32>();
         for (region, list) in &self.regions {
-            if let RegionKey::Boxed(coords) = region {
-                bytes += coords.len() * size_of::<i32>();
-            }
-            bytes += list.capacity() * size_of::<i32>();
+            bytes += region.heap_size() + list.capacity() * size_of::<i32>();
         }
         for slab in &self.slabs {
             bytes += slab.heap_bytes();
@@ -780,7 +718,7 @@ mod tests {
 
     /// Number of cells listed in the region of `cell`.
     fn listed(g: &GridIndex, cell: &CellCoord) -> usize {
-        g.regions[&g.region_of(&cell.0)].len() / (g.geometry.dim() + 1)
+        g.regions[&g.region_of(cell)].len() / (g.geometry.dim() + 1)
     }
 
     /// Points straddling the origin under insert/remove churn: region
@@ -841,8 +779,8 @@ mod tests {
         let b = g.insert(PointId(1), &pt(1.1 * side, 0.1 * side));
         let c = g.insert(PointId(2), &pt(-0.5 * side, -0.5 * side));
         g.insert(PointId(3), &pt(0.2 * side, 0.2 * side));
-        assert_eq!(g.region_of(&a.0), g.region_of(&b.0));
-        assert_eq!(g.region_of(&c.0).coords(), &[-1, -1]);
+        assert_eq!(g.region_of(&a), g.region_of(&b));
+        assert_eq!(g.region_of(&c).as_slice(), &[-1, -1]);
         assert_eq!(g.regions.len(), 2);
         assert_region_lists(&g);
 

@@ -53,7 +53,7 @@ impl ShardRouter {
 
     /// The region coordinate of a cell (floor division per dimension).
     pub fn region_of(&self, cell: &CellCoord) -> CellCoord {
-        CellCoord(cell.0.iter().map(|c| c.div_euclid(self.width)).collect())
+        cell.iter().map(|c| c.div_euclid(self.width)).collect()
     }
 
     /// The shard owning a cell. Allocation-free: hashes the region
@@ -64,7 +64,7 @@ impl ShardRouter {
             return 0;
         }
         let mut h = FxHasher::default();
-        for c in cell.0.iter() {
+        for c in cell.iter() {
             h.write_u32(c.div_euclid(self.width) as u32);
         }
         (h.finish() % self.shards as u64) as usize
@@ -109,7 +109,7 @@ mod tests {
     use super::*;
 
     fn cc(v: &[i32]) -> CellCoord {
-        CellCoord::new(v.to_vec())
+        CellCoord::new(v)
     }
 
     #[test]
@@ -141,7 +141,7 @@ mod tests {
         for x in -15..15 {
             for y in -15..15 {
                 let cell = cc(&[x, y]);
-                let region: Vec<i32> = cell.0.iter().map(|c| c.div_euclid(2)).collect();
+                let region: Vec<i32> = cell.iter().map(|c| c.div_euclid(2)).collect();
                 assert_eq!(r.shard_of(&cell), r.shard_of_region(&region));
             }
         }

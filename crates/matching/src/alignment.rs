@@ -35,7 +35,7 @@ fn cell_centroid(sgs: &Sgs) -> Vec<f64> {
         return acc;
     }
     for c in &sgs.cells {
-        for (a, coord) in acc.iter_mut().zip(c.coord.0.iter()) {
+        for (a, coord) in acc.iter_mut().zip(c.coord.iter()) {
             *a += *coord as f64;
         }
     }

@@ -53,13 +53,13 @@ impl<'s> GridMatcher<'s> {
         let a_coords = a
             .cells
             .iter()
-            .flat_map(|c| c.coord.0.iter().copied())
+            .flat_map(|c| c.coord.iter().copied())
             .collect();
-        let a_hashes = a.cells.iter().map(|c| hash(&c.coord.0)).collect();
+        let a_hashes = a.cells.iter().map(|c| hash(&c.coord)).collect();
         let b_dim = b.cells.first().map_or(b.dim, |c| c.coord.dim());
         let mut b_index = CoordTable::with_capacity(b_dim, b.cells.len());
         for (j, c) in b.cells.iter().enumerate() {
-            let k = b_index.insert(&c.coord.0);
+            let k = b_index.insert(&c.coord);
             debug_assert_eq!(k, Some(j as u32), "cell coordinates must be unique");
         }
         GridMatcher {

@@ -104,7 +104,7 @@ pub(crate) fn window_cost(clusters: &WindowOutput) -> usize {
         bytes += 4 + 4 * c.cores.len() + 4 + 4 * c.edges.len();
         bytes += 2 + 1 + 8 + 4;
         for cell in &c.sgs.cells {
-            bytes += 4 * cell.coord.0.len() + 4 + 1 + 4 + 4 * cell.connections.len();
+            bytes += 4 * cell.coord.len() + 4 + 1 + 4 + 4 * cell.connections.len();
         }
     }
     bytes

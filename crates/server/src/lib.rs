@@ -56,7 +56,7 @@ use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
@@ -228,15 +228,29 @@ impl Mailbox {
         }
     }
 
+    /// Queue a finished dispatch for the reactor and wake it.
+    fn post(&self, completion: Completion) {
+        lock(&self.completions).push(completion);
+        self.wake();
+    }
+
     /// Nudge the reactor out of its readiness wait. Best-effort: a full
     /// pipe means wakes are already pending, and a missing pipe means
     /// the reactor is not running (nothing to wake).
     fn wake(&self) {
         use std::io::Write;
-        if let Some(pipe) = &*self.waker.lock().unwrap() {
+        if let Some(pipe) = &*lock(&self.waker) {
             let _ = (&*pipe).write(&[1u8]);
         }
     }
+}
+
+/// Lock a mailbox or seat-registry mutex, ignoring poison. Each critical
+/// section on these locks is one push, insert, remove or take, so a
+/// panic elsewhere cannot leave the data half-updated, and refusing the
+/// lock afterwards would wedge every session.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// State shared by the reactor thread, the dispatch pool, and control
@@ -328,7 +342,7 @@ impl ServerHandle {
         // the grace window.
         let deadline = Instant::now() + timeout;
         while Instant::now() < deadline {
-            if shared.seats.lock().unwrap().is_empty() {
+            if lock(&shared.seats).is_empty() {
                 break;
             }
             std::thread::sleep(Duration::from_millis(10));
@@ -340,7 +354,7 @@ impl ServerHandle {
         // Block-policy buffer (its dispatch then completes and the
         // session unwinds).
         let forced = {
-            let seats = shared.seats.lock().unwrap();
+            let seats = lock(&shared.seats);
             for seat in seats.values() {
                 let _ = seat.socket.shutdown(Shutdown::Both);
                 shared.rt.read().close_outputs(seat.owner);
@@ -351,7 +365,7 @@ impl ServerHandle {
         // bounded grace so the checkpoint below sees their cancels.
         let grace = Instant::now() + Duration::from_secs(5);
         while forced > 0 && Instant::now() < grace {
-            if shared.seats.lock().unwrap().is_empty() {
+            if lock(&shared.seats).is_empty() {
                 break;
             }
             std::thread::sleep(Duration::from_millis(10));
@@ -431,7 +445,7 @@ impl Server {
         // Session teardown (cancel + evict) runs on the dispatch pool;
         // wait for the seats to empty so "run returned" keeps meaning
         // "no session state remains in the runtime".
-        while !shared.seats.lock().unwrap().is_empty() {
+        while !lock(&shared.seats).is_empty() {
             std::thread::sleep(Duration::from_millis(5));
         }
         // A drain wakes the reactor long before its final checkpoint.

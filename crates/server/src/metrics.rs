@@ -79,6 +79,9 @@ pub(crate) struct ServerMetrics {
     pub auth_failures: Arc<Counter>,
     /// Query subscriptions currently active across all sessions.
     pub subscriptions: Arc<Gauge>,
+    /// Request dispatches that panicked (each answered with a typed
+    /// `Internal` error so the session stays usable).
+    pub dispatch_panics: Arc<Counter>,
 }
 
 impl ServerMetrics {
@@ -109,6 +112,7 @@ impl ServerMetrics {
             pushed_windows: r.counter("sgs_server_pushed_windows_total"),
             auth_failures: r.counter("sgs_server_auth_failures_total"),
             subscriptions: r.gauge("sgs_server_subscriptions"),
+            dispatch_panics: r.counter("sgs_server_dispatch_panics_total"),
         }
     }
 

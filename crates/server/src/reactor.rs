@@ -40,12 +40,13 @@ use std::time::Instant;
 
 use epoll::{ControlOptions, Event, Events};
 use sgs_exec::Priority;
+use sgs_obs::Counter;
 use sgs_runtime::{OwnerId, QueryId, QueryState};
 use sgs_wire::{decode, write_frame, ErrorCode, Frame};
 
 use crate::{
-    dispatch, error_frame, goaway_frame, idle_timeout_frame, page_windows, Completion, Effect,
-    Seat, SessionView, Shared,
+    dispatch, error_frame, goaway_frame, idle_timeout_frame, lock, page_windows, Completion,
+    Effect, Mailbox, Seat, SessionView, Shared,
 };
 
 /// epoll cookie of the listening socket.
@@ -125,7 +126,7 @@ pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>) -> io::Result<()>
     let (waker_rx, waker_tx) = UnixStream::pair()?;
     waker_rx.set_nonblocking(true)?;
     waker_tx.set_nonblocking(true)?;
-    *shared.mailbox.waker.lock().unwrap() = Some(waker_tx);
+    *lock(&shared.mailbox.waker) = Some(waker_tx);
 
     let epfd = epoll::create(true)?;
     let setup = epoll::ctl(
@@ -154,7 +155,7 @@ pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>) -> io::Result<()>
         }
         Err(e) => Err(e),
     };
-    *shared.mailbox.waker.lock().unwrap() = None;
+    *lock(&shared.mailbox.waker) = None;
     let _ = epoll::close(epfd);
     result
 }
@@ -463,11 +464,7 @@ impl Reactor<'_> {
             conn.weight = weight;
             conn.phase = Phase::Ready;
             if let Ok(socket) = conn.sock.try_clone() {
-                self.shared
-                    .seats
-                    .lock()
-                    .unwrap()
-                    .insert(token, Seat { socket, owner });
+                lock(&self.shared.seats).insert(token, Seat { socket, owner });
             }
         }
         self.send(
@@ -506,14 +503,19 @@ impl Reactor<'_> {
         self.shared
             .dispatch
             .spawn_fair(owner.0 + 1, weight, move || {
+                let _guard = PanicReply {
+                    mailbox: &shared.mailbox,
+                    panics: &shared.metrics.dispatch_panics,
+                    token,
+                    goodbye,
+                };
                 let (reply, effect) = dispatch(&shared, &view, frame);
-                shared.mailbox.completions.lock().unwrap().push(Completion {
+                shared.mailbox.post(Completion {
                     token,
                     reply,
                     effect,
                     goodbye,
                 });
-                shared.mailbox.wake();
             });
     }
 
@@ -521,8 +523,7 @@ impl Reactor<'_> {
     /// the reply bytes, and the re-parse of any requests that were
     /// already buffered while the request executed.
     fn apply_completions(&mut self) {
-        let done: Vec<Completion> =
-            std::mem::take(&mut *self.shared.mailbox.completions.lock().unwrap());
+        let done: Vec<Completion> = std::mem::take(&mut *lock(&self.shared.mailbox.completions));
         for c in done {
             let (gone, closing) = {
                 let Some(conn) = self.conns.get_mut(&c.token) else {
@@ -589,8 +590,7 @@ impl Reactor<'_> {
     /// Move queued output-buffer readiness into the owning connections
     /// and try to push.
     fn apply_pushes(&mut self) {
-        let ready: BTreeSet<(u64, u64)> =
-            std::mem::take(&mut *self.shared.mailbox.pushes.lock().unwrap());
+        let ready: BTreeSet<(u64, u64)> = std::mem::take(&mut *lock(&self.shared.mailbox.pushes));
         let mut touched: BTreeSet<u64> = BTreeSet::new();
         for (token, local) in ready {
             if let Some(conn) = self.conns.get_mut(&token) {
@@ -641,12 +641,7 @@ impl Reactor<'_> {
                 // Yield the reactor: re-queue through the mailbox (the
                 // waker byte brings us straight back) so other ready
                 // connections get their turn between pages.
-                self.shared
-                    .mailbox
-                    .pushes
-                    .lock()
-                    .unwrap()
-                    .insert((token, local));
+                lock(&self.shared.mailbox.pushes).insert((token, local));
                 self.shared.mailbox.wake();
                 break;
             }
@@ -917,7 +912,33 @@ impl Reactor<'_> {
             shared.rt.write().evict_cancelled(owner);
             // Leave the seat last: an empty registry tells the drain
             // that no session state remains in the runtime.
-            shared.seats.lock().unwrap().remove(&token);
+            lock(&shared.seats).remove(&token);
+        });
+    }
+}
+
+/// Armed for the length of one dispatch task: if the task unwinds, the
+/// guard's drop answers the request with a typed `Internal` error, so
+/// the session leaves `Executing` instead of waiting forever for a
+/// completion that will never come.
+struct PanicReply<'a> {
+    mailbox: &'a Mailbox,
+    panics: &'a Counter,
+    token: u64,
+    goodbye: bool,
+}
+
+impl Drop for PanicReply<'_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        self.panics.inc();
+        self.mailbox.post(Completion {
+            token: self.token,
+            reply: error_frame(ErrorCode::Internal, "request handler panicked".into()),
+            effect: Effect::None,
+            goodbye: self.goodbye,
         });
     }
 }
@@ -929,7 +950,7 @@ impl Reactor<'_> {
 fn output_hook(shared: &Arc<Shared>, token: u64, local: u64) -> sgs_runtime::OutputNotify {
     let shared = shared.clone();
     Arc::new(move || {
-        shared.mailbox.pushes.lock().unwrap().insert((token, local));
+        lock(&shared.mailbox.pushes).insert((token, local));
         shared.mailbox.wake();
     })
 }
@@ -946,5 +967,58 @@ fn drain_waker(waker: &UnixStream) {
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => break,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    #[test]
+    fn panicking_dispatch_posts_an_internal_error() {
+        let mailbox = Mailbox::new();
+        let panics = Counter::default();
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _guard = PanicReply {
+                mailbox: &mailbox,
+                panics: &panics,
+                token: 7,
+                goodbye: false,
+            };
+            // Unwinding drops this guard before `_guard`, poisoning the
+            // completions lock the reply must still get through.
+            let _held = mailbox.completions.lock();
+            panic!("dispatch failure");
+        }));
+        assert!(unwound.is_err());
+        assert!(mailbox.completions.is_poisoned());
+        let done = lock(&mailbox.completions);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].token, 7);
+        assert!(!done[0].goodbye);
+        assert!(matches!(done[0].effect, Effect::None));
+        assert!(matches!(
+            done[0].reply,
+            Frame::Error {
+                code: ErrorCode::Internal,
+                ..
+            }
+        ));
+        assert_eq!(panics.get(), u64::from(sgs_obs::enabled()));
+    }
+
+    #[test]
+    fn completed_dispatch_posts_nothing_extra() {
+        let mailbox = Mailbox::new();
+        let panics = Counter::default();
+        drop(PanicReply {
+            mailbox: &mailbox,
+            panics: &panics,
+            token: 7,
+            goodbye: false,
+        });
+        assert!(lock(&mailbox.completions).is_empty());
+        assert_eq!(panics.get(), 0);
     }
 }

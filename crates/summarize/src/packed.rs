@@ -35,7 +35,7 @@ pub fn archived_bytes(sgs: &Sgs) -> usize {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PackedCell {
     /// Integer cell coordinate.
-    pub coord: Box<[i32]>,
+    pub coord: CellCoord,
     /// 0 = edge, 1 = core.
     pub status: u8,
     /// Member count.
@@ -57,7 +57,7 @@ pub fn encode(sgs: &Sgs) -> Bytes {
     buf.put_u32_le(sgs.cells.len() as u32);
     buf.put_f64_le(sgs.side);
     for cell in &sgs.cells {
-        for &c in cell.coord.0.iter() {
+        for &c in cell.coord.iter() {
             buf.put_i32_le(c);
         }
         buf.put_u8(match cell.status {
@@ -78,7 +78,7 @@ fn face_mask(sgs: &Sgs, cell: &SkeletalCell) -> u16 {
         // Face adjacency: differs by ±1 on exactly one dimension.
         let mut axis = None;
         let mut ok = true;
-        for (k, (a, b)) in cell.coord.0.iter().zip(other.0.iter()).enumerate() {
+        for (k, (a, b)) in cell.coord.iter().zip(other.iter()).enumerate() {
             match b - a {
                 0 => {}
                 1 | -1 if axis.is_none() => axis = Some((k, b - a)),
@@ -115,7 +115,7 @@ pub fn decode(mut buf: Bytes) -> Option<Sgs> {
     }
     let mut packed = Vec::with_capacity(count);
     for _ in 0..count {
-        let coord: Box<[i32]> = (0..dim).map(|_| buf.get_i32_le()).collect();
+        let coord: CellCoord = (0..dim).map(|_| buf.get_i32_le()).collect();
         let status = buf.get_u8();
         let population = buf.get_u32_le();
         let connections = buf.get_u16_le();
@@ -130,7 +130,7 @@ pub fn decode(mut buf: Bytes) -> Option<Sgs> {
     let index_of: FxHashMap<&[i32], u32> = packed
         .iter()
         .enumerate()
-        .map(|(i, c)| (c.coord.as_ref(), i as u32))
+        .map(|(i, c)| (c.coord.as_slice(), i as u32))
         .collect();
     let cells = packed
         .iter()
@@ -149,7 +149,7 @@ pub fn decode(mut buf: Bytes) -> Option<Sgs> {
             }
             connections.sort_unstable();
             SkeletalCell {
-                coord: CellCoord(p.coord.clone()),
+                coord: p.coord.clone(),
                 population: p.population,
                 status: if p.status == 1 {
                     CellStatus::Core
@@ -214,9 +214,8 @@ mod tests {
                 .filter(|&j| {
                     let d: i32 = a
                         .coord
-                        .0
                         .iter()
-                        .zip(s.cells[j as usize].coord.0.iter())
+                        .zip(s.cells[j as usize].coord.iter())
                         .map(|(x, y)| (x - y).abs())
                         .sum();
                     d == 1
@@ -224,6 +223,37 @@ mod tests {
                 .collect();
             assert_eq!(b.connections, face_conns);
         }
+    }
+
+    #[test]
+    fn five_dimensional_summary_round_trips_byte_for_byte() {
+        // One dimension past the inline cell-key width, with negative
+        // coordinates: boxed keys must pack exactly like inline ones.
+        let g = GridGeometry::basic(5, 1.0);
+        let side = g.side();
+        let cores: Vec<Box<[f64]>> = (0..12)
+            .map(|i| {
+                let mut p = vec![-0.5 * side; 5];
+                p[i % 5] += (i / 5) as f64 * side;
+                p.into()
+            })
+            .collect();
+        let s = Sgs::from_members(&MemberSet::new(cores, vec![]), &g);
+        assert!(s.cells.len() > 1);
+        assert!(s.cells.iter().all(|c| c.coord.dim() == 5));
+        let bytes = encode(&s);
+        assert_eq!(bytes.len(), archived_bytes(&s));
+        let first: Vec<u8> = s.cells[0]
+            .coord
+            .iter()
+            .flat_map(|c| c.to_le_bytes())
+            .collect();
+        assert_eq!(&bytes[HEADER_BYTES..HEADER_BYTES + 20], &first[..]);
+        let decoded = decode(bytes.clone()).unwrap();
+        for (a, b) in s.cells.iter().zip(&decoded.cells) {
+            assert_eq!(a.coord, b.coord);
+        }
+        assert_eq!(encode(&decoded), bytes);
     }
 
     #[test]

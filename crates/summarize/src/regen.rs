@@ -28,7 +28,6 @@ pub fn regenerate(sgs: &Sgs, rng: &mut impl Rng) -> MemberSet {
         for _ in 0..cell.population {
             let p: Box<[f64]> = cell
                 .coord
-                .0
                 .iter()
                 .map(|&c| (c as f64 + rng.gen_range(0.0..1.0)) * sgs.side)
                 .collect();

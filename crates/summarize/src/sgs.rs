@@ -240,8 +240,8 @@ impl Sgs {
         let mut hi = vec![i32::MIN; dim];
         for c in &self.cells {
             for d in 0..dim {
-                lo[d] = lo[d].min(c.coord.0[d]);
-                hi[d] = hi[d].max(c.coord.0[d]);
+                lo[d] = lo[d].min(c.coord[d]);
+                hi[d] = hi[d].max(c.coord[d]);
             }
         }
         Some(Rect::new(

@@ -21,8 +21,8 @@ pub fn render_ascii(sgs: &Sgs, dx: usize, dy: usize) -> String {
     if sgs.cells.is_empty() {
         return String::new();
     }
-    let xs: Vec<i32> = sgs.cells.iter().map(|c| c.coord.0[dx]).collect();
-    let ys: Vec<i32> = sgs.cells.iter().map(|c| c.coord.0[dy]).collect();
+    let xs: Vec<i32> = sgs.cells.iter().map(|c| c.coord[dx]).collect();
+    let ys: Vec<i32> = sgs.cells.iter().map(|c| c.coord[dy]).collect();
     let (x0, x1) = (*xs.iter().min().unwrap(), *xs.iter().max().unwrap());
     let (y0, y1) = (*ys.iter().min().unwrap(), *ys.iter().max().unwrap());
     let width = (x1 - x0 + 1) as usize;
@@ -39,8 +39,8 @@ pub fn render_ascii(sgs: &Sgs, dx: usize, dy: usize) -> String {
 
     let mut raster = vec![vec![' '; width]; height];
     for cell in &sgs.cells {
-        let col = (cell.coord.0[dx] - x0) as usize;
-        let row = (cell.coord.0[dy] - y0) as usize;
+        let col = (cell.coord[dx] - x0) as usize;
+        let row = (cell.coord[dy] - y0) as usize;
         // When several cells project onto one spot (d > 2), keep the
         // heaviest glyph.
         let glyph = match cell.status {

@@ -48,10 +48,10 @@ pub fn render_svg(summaries: &[&Sgs], dx: usize, dy: usize, style: &SvgStyle) ->
     for sgs in summaries {
         assert!(dx < sgs.dim && dy < sgs.dim, "projection out of range");
         for c in &sgs.cells {
-            x0 = x0.min(c.coord.0[dx]);
-            x1 = x1.max(c.coord.0[dx]);
-            y0 = y0.min(c.coord.0[dy]);
-            y1 = y1.max(c.coord.0[dy]);
+            x0 = x0.min(c.coord[dx]);
+            x1 = x1.max(c.coord[dx]);
+            y0 = y0.min(c.coord[dy]);
+            y1 = y1.max(c.coord[dy]);
         }
     }
     if x0 > x1 {
@@ -84,8 +84,8 @@ pub fn render_svg(summaries: &[&Sgs], dx: usize, dy: usize, style: &SvgStyle) ->
             .max(1) as f64;
         out.push_str(&format!("  <g data-summary=\"{si}\">\n"));
         for cell in &sgs.cells {
-            let x = px(cell.coord.0[dx]);
-            let y = py(cell.coord.0[dy]);
+            let x = px(cell.coord[dx]);
+            let y = py(cell.coord[dy]);
             match cell.status {
                 CellStatus::Core => {
                     let opacity = 0.25 + 0.75 * (cell.population as f64 / max_pop);
@@ -106,12 +106,12 @@ pub fn render_svg(summaries: &[&Sgs], dx: usize, dy: usize, style: &SvgStyle) ->
         }
         if style.draw_connections {
             for cell in &sgs.cells {
-                let cx = px(cell.coord.0[dx]) + s / 2.0;
-                let cy = py(cell.coord.0[dy]) + s / 2.0;
+                let cx = px(cell.coord[dx]) + s / 2.0;
+                let cy = py(cell.coord[dy]) + s / 2.0;
                 for &j in &cell.connections {
                     let other = &sgs.cells[j as usize];
-                    let ox = px(other.coord.0[dx]) + s / 2.0;
-                    let oy = py(other.coord.0[dy]) + s / 2.0;
+                    let ox = px(other.coord[dx]) + s / 2.0;
+                    let oy = py(other.coord[dy]) + s / 2.0;
                     out.push_str(&format!(
                         "    <line x1=\"{cx:.1}\" y1=\"{cy:.1}\" x2=\"{ox:.1}\" \
                          y2=\"{oy:.1}\" stroke=\"{hue}\" stroke-opacity=\"0.5\"/>\n"

@@ -115,7 +115,7 @@ fn put_sgs(out: &mut Vec<u8>, sgs: &Sgs) {
     put_f64(out, sgs.side);
     put_u32(out, sgs.cells.len() as u32);
     for cell in &sgs.cells {
-        for &c in cell.coord.0.iter() {
+        for &c in cell.coord.iter() {
             put_i32(out, c);
         }
         put_u32(out, cell.population);
@@ -294,10 +294,9 @@ impl<'a> Rd<'a> {
         let n_cells = self.count(4 * dim + 4 + 1 + 4)?;
         let mut cells = Vec::with_capacity(n_cells);
         for _ in 0..n_cells {
-            let mut coord = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                coord.push(self.i32()?);
-            }
+            let coord = (0..dim)
+                .map(|_| self.i32())
+                .collect::<Result<CellCoord, _>>()?;
             let population = self.u32()?;
             let status = match self.u8()? {
                 0 => CellStatus::Edge,
@@ -314,7 +313,7 @@ impl<'a> Rd<'a> {
                 connections.push(conn);
             }
             cells.push(SkeletalCell {
-                coord: CellCoord(coord.into()),
+                coord,
                 population,
                 status,
                 connections,
@@ -693,13 +692,13 @@ mod tests {
             level: 1,
             cells: vec![
                 SkeletalCell {
-                    coord: CellCoord(vec![1, -2, 3].into()),
+                    coord: CellCoord::new(vec![1, -2, 3]),
                     population: 9,
                     status: CellStatus::Core,
                     connections: vec![1],
                 },
                 SkeletalCell {
-                    coord: CellCoord(vec![1, -1, 3].into()),
+                    coord: CellCoord::new(vec![1, -1, 3]),
                     population: 4,
                     status: CellStatus::Edge,
                     connections: vec![0],
@@ -722,6 +721,56 @@ mod tests {
         // window-sequence count u32.
         let overhead = 4 + 1 + 1 + 8 + 4;
         assert_eq!(frame.encode().len(), overhead + window.encoded_len());
+    }
+
+    #[test]
+    fn five_dimensional_summary_round_trips_byte_for_byte() {
+        use crate::frame::WireWindow;
+        // One dimension past the inline cell-key width: boxed keys must
+        // encode and decode exactly like inline ones.
+        let coords = [[1, -2, 3, -4, 5], [1, -2, 3, -4, 6], [-7, 0, 2, 9, -1]];
+        let cells = coords
+            .iter()
+            .enumerate()
+            .map(|(i, c)| SkeletalCell {
+                coord: CellCoord::new(c),
+                population: 3 + i as u32,
+                status: if i < 2 {
+                    CellStatus::Core
+                } else {
+                    CellStatus::Edge
+                },
+                connections: if i < 2 { vec![1 - i as u32] } else { vec![] },
+            })
+            .collect();
+        let frame = Frame::Windows {
+            query: 2,
+            windows: vec![WireWindow {
+                window: WindowId(4),
+                clusters: vec![ExtractedCluster {
+                    cores: vec![PointId(3)],
+                    edges: vec![],
+                    sgs: Sgs {
+                        dim: 5,
+                        side: 0.25,
+                        level: 0,
+                        cells,
+                    },
+                }],
+            }],
+        };
+        let bytes = frame.encode();
+        let (back, used) = decode(&bytes).unwrap().unwrap();
+        assert_eq!(used, bytes.len());
+        assert_eq!(back, frame);
+        assert_eq!(back.encode(), bytes);
+        for c in &coords {
+            let le: Vec<u8> = c.iter().flat_map(|x: &i32| x.to_le_bytes()).collect();
+            assert!(
+                bytes.windows(le.len()).any(|w| w == le),
+                "{c:?} not encoded inline"
+            );
+        }
     }
 
     #[test]

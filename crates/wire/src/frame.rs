@@ -122,7 +122,7 @@ impl WireWindow {
             bytes += 4 + 4 * c.cores.len() + 4 + 4 * c.edges.len();
             bytes += 2 + 1 + 8 + 4; // SGS header: dim, level, side, cell count
             for cell in &c.sgs.cells {
-                bytes += 4 * cell.coord.0.len() + 4 + 1 + 4 + 4 * cell.connections.len();
+                bytes += 4 * cell.coord.len() + 4 + 1 + 4 + 4 * cell.connections.len();
             }
         }
         bytes

@@ -49,7 +49,7 @@ fn rand_sgs(rng: &mut StdRng) -> Sgs {
             let coord: Vec<i32> = (0..dim).map(|_| rng.gen_range(-50i32..50)).collect();
             let n_conns = rng.gen_range(0usize..n_cells.max(1));
             SkeletalCell {
-                coord: CellCoord(coord.into()),
+                coord: CellCoord::new(coord),
                 population: rng.gen_range(1u32..500),
                 status: if rng.gen_bool(0.5) {
                     CellStatus::Core

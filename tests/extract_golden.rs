@@ -84,7 +84,7 @@ fn digest(windows: &[(WindowId, WindowOutput)]) -> u64 {
             h.eat(s.level as u64);
             h.eat(s.cells.len() as u64);
             for cell in &s.cells {
-                for &x in cell.coord.0.iter() {
+                for &x in cell.coord.iter() {
                     h.eat(x as i64 as u64);
                 }
                 h.eat(cell.population as u64);

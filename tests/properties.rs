@@ -1,14 +1,55 @@
 //! Property-based tests (proptest) on the core invariants.
 
+use std::hash::{BuildHasher, Hash};
+
 use proptest::prelude::*;
 use streamsum::core::{dist, CellCoord, GridGeometry, Point, WindowId, WindowSpec};
-use streamsum::index::UnionFind;
+use streamsum::index::{FxBuildHasher, FxHashMap, UnionFind};
 use streamsum::matching::hungarian;
 use streamsum::matching::metric::rel_diff;
 use streamsum::stream::{core_until, ExpiryHistogram};
 use streamsum::summarize::{coarsen, MemberSet, Sgs};
 
+fn fx_hash<T: Hash + ?Sized>(value: &T) -> u64 {
+    FxBuildHasher::default().hash_one(value)
+}
+
 proptest! {
+    /// A `CellCoord` keeps the semantics of its `[i32]` slice on both
+    /// sides of the inline/boxed boundary (inline up to 4 dimensions,
+    /// boxed from 5): equality, ordering and hashing agree with the same
+    /// coordinates as a `Box<[i32]>`, clones compare equal, and a map
+    /// keyed by `CellCoord` is probed with a plain `&[i32]`. Small
+    /// coordinate ranges make equal keys and shared prefixes common.
+    #[test]
+    fn cell_coord_behaves_as_its_slice(
+        dim_a in 1usize..7,
+        dim_b in 1usize..7,
+        a in prop::collection::vec(-2i32..2, 6),
+        b in prop::collection::vec(-2i32..2, 6),
+    ) {
+        let (raw_a, raw_b): (Box<[i32]>, Box<[i32]>) = (a[..dim_a].into(), b[..dim_b].into());
+        let (ca, cb) = (CellCoord::new(&raw_a[..]), CellCoord::new(&raw_b[..]));
+        prop_assert_eq!(ca.as_slice(), &raw_a[..]);
+        prop_assert_eq!(ca.dim(), dim_a);
+        prop_assert_eq!(ca == cb, raw_a == raw_b);
+        prop_assert_eq!(ca.cmp(&cb), raw_a.cmp(&raw_b));
+        prop_assert_eq!(ca.partial_cmp(&cb), raw_a.partial_cmp(&raw_b));
+        prop_assert_eq!(fx_hash(&ca), fx_hash(&raw_a));
+        prop_assert_eq!(fx_hash(&ca), fx_hash(&raw_a[..]));
+        prop_assert_eq!(ca.clone(), ca.clone());
+        prop_assert_eq!(CellCoord::from(raw_a.to_vec()), ca.clone());
+        prop_assert_eq!(raw_a.iter().copied().collect::<CellCoord>(), ca.clone());
+
+        let mut map: FxHashMap<CellCoord, usize> = FxHashMap::default();
+        map.insert(ca.clone(), dim_a);
+        map.insert(cb.clone(), dim_b);
+        prop_assert_eq!(map.len(), if raw_a == raw_b { 1 } else { 2 });
+        prop_assert_eq!(map.get(&raw_b[..]), Some(&dim_b));
+        let a_value = if raw_a == raw_b { dim_b } else { dim_a };
+        prop_assert_eq!(map.get(&raw_a[..]), Some(&a_value));
+    }
+
     /// Lemma 4.1 precondition: any two points mapped to the same basic
     /// cell are within θr of each other.
     #[test]
